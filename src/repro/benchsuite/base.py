@@ -77,6 +77,10 @@ class HostAPI(abc.ABC):
         """Compile kernels for this device (step 5/6 of the flow)."""
 
     @abc.abstractmethod
+    def ptx_of(self, name: str):
+        """The compiled kernel ``build`` produced for ``name``."""
+
+    @abc.abstractmethod
     def alloc(self, count: int, elem: Scalar = Scalar.F32): ...
 
     @abc.abstractmethod
@@ -135,6 +139,9 @@ class CudaHost(HostAPI):
         for k in kernels:
             self.fns[k.name] = self.ctx.compile(k)
 
+    def ptx_of(self, name):
+        return self.fns[name].ptx
+
     def alloc(self, count, elem=Scalar.F32):
         return self.ctx.malloc(count, elem)
 
@@ -176,6 +183,9 @@ class OpenCLHost(HostAPI):
         self.program = cl.Program(self.clctx, list(kernels)).build(defines)
         for k in kernels:
             self.kernels[k.name] = self.program.kernel(k.name)
+
+    def ptx_of(self, name):
+        return self.kernels[name].ptx
 
     def alloc(self, count, elem=Scalar.F32):
         return cl.Buffer.create(self.clctx, count, elem)
@@ -280,15 +290,29 @@ class Benchmark(abc.ABC):
         api: HostAPI,
         size: str = "default",
         options: Optional[Mapping] = None,
+        build=None,
     ) -> BenchResult:
+        """Build the kernels, then run :meth:`host_run`.
+
+        ``build`` is an already-built artifact of this run
+        (:class:`repro.exec.unit.UnitBuild`): its ``kernels`` replace a
+        fresh :meth:`build_kernels` call, and its ``compiled`` hook
+        receives the compiled kernels after the program build, before
+        the first launch.
+        """
         params = self.sizes()[size]
         opts = self.options_for(api.dialect, options)
         defines = self.defines_for(api)
-        kerns = self.build_kernels(api.dialect, opts, defines, params)
+        if build is None:
+            kerns = self.build_kernels(api.dialect, opts, defines, params)
+        else:
+            kerns = build.kernels
         try:
             api.build(kerns, defines)
         except (cl.CLError, CudaError) as e:
             return self._failure(api, e)
+        if build is not None:
+            build.compiled([api.ptx_of(k.name) for k in kerns])
         try:
             return self.host_run(api, params, opts)
         except (cl.CLError, CudaError) as e:

@@ -15,6 +15,10 @@ serialization of it is a deterministic fingerprint of the source:
 at C speed, where the dataclass ``repr`` walk dominated compile-hit
 cost.  Instruction lists are copied shallowly: ``Instr`` objects are
 never mutated after assembly.
+
+Every lookup also bumps the ``compiler.ccache.hits`` /
+``compiler.ccache.misses`` registry counters, which pool workers ship
+home with the rest of their metrics.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ import pickle
 
 from ..kir.stmt import Kernel
 from ..ptx.module import PTXKernel
+from ..telemetry import metrics
 
 __all__ = ["cached_compile", "cache_stats", "clear"]
 
@@ -69,8 +74,10 @@ def cached_compile(dialect: str, kernel: Kernel, max_regs: int, compile_fn):
     entry = _cache.get(key)
     if entry is not None:
         _hits += 1
+        metrics.counter("compiler.ccache.hits").inc()
         return _clone(entry)
     _misses += 1
+    metrics.counter("compiler.ccache.misses").inc()
     ptx = compile_fn()
     ptx.content_digest()  # memoize pre-clone so every copy inherits it
     if len(_cache) < _CAP:

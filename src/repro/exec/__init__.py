@@ -43,11 +43,11 @@ from .lifecycle import (
     run_outcome,
 )
 from .unit import (
+    UnitBuild,
     UnitResult,
     WorkUnit,
     execute,
     make_unit,
-    unit_build,
     unit_digest,
     unit_fingerprint,
 )
@@ -63,8 +63,8 @@ from .variants import (
 __all__ = [
     "WorkUnit",
     "UnitResult",
+    "UnitBuild",
     "make_unit",
-    "unit_build",
     "unit_digest",
     "unit_fingerprint",
     "execute",

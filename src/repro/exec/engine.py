@@ -42,9 +42,9 @@ Crash-safety (see :mod:`repro.exec.lifecycle` / :mod:`repro.exec.journal`):
   :class:`~repro.exec.lifecycle.GracefulShutdown`) stops admission:
   in-flight units get a bounded grace period, everything else is left
   for a ``--resume`` rerun;
-* an ABT *preflight guard* classifies cold units that would abort at
-  enqueue (Table VI "ABT") before any launch, via the same admission
-  function the simulator applies;
+* each cold unit's ABT *preflight* verdict (Table VI "ABT") is derived
+  inside its own execution, from the kernels it compiled, before its
+  first launch, via the same admission function the simulator applies;
 * repeated broken-pool incidents demote the run to sequential
   execution (*degraded mode*) instead of churning through doomed pools.
 """
@@ -74,7 +74,7 @@ from ..telemetry import spans as tspans
 from ..telemetry.progress import ProgressLine
 from . import journal as journal_mod
 from .cache import ResultCache, result_from_json, result_to_json
-from .unit import UnitResult, WorkUnit, execute, unit_digest
+from .unit import UnitBuild, UnitResult, WorkUnit, execute, unit_digest
 
 __all__ = ["SweepExecutor", "SweepStats", "UnitRecord", "FailedUnit", "retry_delay"]
 
@@ -108,11 +108,15 @@ def _pool_worker_init() -> None:
     Marks the process as a pool worker (fault-injection attribution)
     and ignores SIGINT: a terminal Ctrl-C reaches the whole foreground
     process group, and the drain protocol wants workers to *finish*
-    their in-flight unit while the parent stops admission.
+    their in-flight unit while the parent stops admission.  SIGTERM
+    gets its default action back — a forked worker inherits the
+    parent's drain handler, which would make it survive the
+    ``terminate()`` that reaps it once the grace period has expired.
     """
     faults_mod.mark_pool_worker()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):
         pass
 
@@ -254,9 +258,13 @@ def _deadline(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, prev)
 
 
-def _execute_payload(unit: WorkUnit, attempt: int = 1, faults=None) -> dict:
-    """Simulate one unit and return its JSON payload."""
-    return result_to_json(execute(unit, attempt=attempt, faults=faults))
+def _execute_payload(
+    unit: WorkUnit, attempt: int, faults, build: UnitBuild,
+) -> dict:
+    """Simulate one unit from its build artifact; return its JSON payload."""
+    return result_to_json(
+        execute(unit, attempt=attempt, faults=faults, build=build)
+    )
 
 
 def _virtual_launch_spans(payload: dict, anchor) -> None:
@@ -299,16 +307,20 @@ def _worker_payload(
     attempt: int,
     faults,
     timeout: Optional[float],
-    span_ctx=None,
+    span_ctx,
+    build: UnitBuild,
 ) -> dict:
     """Process-pool worker: never raises for ordinary failures.
 
     Returns ``{"ok": payload}`` or ``{"err": {...}}`` so a unit that
     throws (or times out) costs exactly one structured error instead of
     poisoning the pool; only a genuine process death breaks the pool.
-    Each response also carries the worker's telemetry — finished span
-    events (parented under ``span_ctx``) and a metrics-registry
-    snapshot — which the parent folds into its own run record.
+    Beside either rides the unit's preflight ``verdict`` (when its
+    execution got far enough to derive one) — never inside the
+    payload, whose bytes are what the cache stores.  Each response also
+    carries the worker's telemetry — finished span events (parented
+    under ``span_ctx``) and a metrics-registry snapshot — which the
+    parent folds into its own run record.
     """
     tr = tspans.worker_tracer(span_ctx)
     out: dict = {}
@@ -318,7 +330,7 @@ def _worker_payload(
                 "unit.attempt", "unit", label=unit.label(), attempt=attempt
             ) as attempt_span:
                 with _deadline(timeout):
-                    payload = _execute_payload(unit, attempt, faults)
+                    payload = _execute_payload(unit, attempt, faults, build)
                 _virtual_launch_spans(payload, attempt_span)
             out["ok"] = payload
         except Exception as e:
@@ -329,6 +341,8 @@ def _worker_payload(
                 "traceback": traceback.format_exc(),
                 "injected": is_injected(e) or _hang_induced(e, unit, faults),
             }
+        if build.verdict is not None:
+            out["verdict"] = build.verdict.as_dict()
         if tr is not None:
             tr.finish()
         out["telemetry"] = {
@@ -400,6 +414,12 @@ class SweepExecutor:
         self._mem: dict = {}  # digest -> payload
         self._digests: dict = {}  # WorkUnit -> digest
         self._failed: dict = {}  # digest -> FailedUnit (quarantined units)
+        #: digest -> UnitBuild of a cold unit, held from digesting until
+        #: the unit has executed (or terminally failed), then dropped
+        self._builds: dict = {}
+        #: digest -> preflight verdict dict a unit's execution brought
+        #: home, until recorded into the stats
+        self._verdicts: dict = {}
         #: optional RunJournal receiving start/done/fail records
         self.journal = journal
         #: JournalReplay this run resumes, when any
@@ -407,7 +427,8 @@ class SweepExecutor:
         self._resumed_done: set = set(resumed.completed) if resumed else set()
         if resumed is not None:
             self.stats.resumed = resumed.summary()
-        #: run the ABT preflight guard over cold units before launching
+        #: report each cold unit's ABT preflight verdict (derived in the
+        #: unit's execution either way; this only gates the reporting)
         self.preflight = bool(preflight)
         self.grace = max(0.0, float(grace))
         #: broken-pool incidents before demoting to sequential execution
@@ -514,11 +535,44 @@ class SweepExecutor:
             self.journal.record_done(digest, source)
 
     # -- lookup layers ----------------------------------------------------
-    def digest_of(self, unit: WorkUnit) -> str:
+    def _resolve(self, unit: WorkUnit):
+        """``(digest, build)``; ``build`` is the fresh artifact digesting
+        made, or None when the digest was already known."""
         d = self._digests.get(unit)
-        if d is None:
-            d = self._digests[unit] = unit_digest(unit)
-        return d
+        if d is not None:
+            return d, None
+        build = UnitBuild(unit, report=self.preflight)
+        d = self._digests[unit] = unit_digest(unit, build=build)
+        return d, build
+
+    def digest_of(self, unit: WorkUnit) -> str:
+        return self._resolve(unit)[0]
+
+    def _build_for(self, digest: str, unit: WorkUnit) -> UnitBuild:
+        """The artifact ``unit`` executes from (built now if none is held)."""
+        build = self._builds.get(digest)
+        if build is None:
+            build = self._builds[digest] = UnitBuild(unit, report=self.preflight)
+        return build
+
+    def _note_verdict(self, digest: str, verdict: Optional[dict]) -> None:
+        if verdict is not None:
+            self._verdicts[digest] = verdict
+
+    def _record_verdicts(self, digests) -> None:
+        """Record the verdicts executions brought home, in label order.
+
+        Label order (not completion order) keeps ``stats.preflight``
+        identical whatever the worker count or the unit order.
+        """
+        rows = [self._verdicts.pop(d) for d in digests if d in self._verdicts]
+        if not self.preflight:
+            return
+        for v in sorted(rows, key=lambda v: v["label"]):
+            self.stats.preflight_checked += 1
+            metrics.counter("exec.preflight.checked").inc()
+            if v["would_abt"]:
+                self.stats.preflight.append(v)
 
     def _lookup(self, digest: str):
         """Returns ``(payload, source)``; payload None on a full miss."""
@@ -534,6 +588,7 @@ class SweepExecutor:
         return None, "run"
 
     def _store(self, digest: str, payload: dict, label: str = "") -> None:
+        self._builds.pop(digest, None)  # executed: release the artifact
         if self.memoize:
             self._mem[digest] = payload
         if self.cache is not None:
@@ -562,6 +617,7 @@ class SweepExecutor:
         )
         self.stats.failures.append(failed)
         self._failed[digest] = failed
+        self._builds.pop(digest, None)
         if self.journal is not None:
             self.journal.record_fail(digest, kind, injected)
         metrics.counter(f"exec.failures.{kind}").inc()
@@ -593,9 +649,14 @@ class SweepExecutor:
 
         A unit that already failed terminally is quarantined: it raises
         :class:`~repro.errors.UnitFailed` instead of re-executing.
+
+        The result carries ``unit`` itself even when the payload was
+        stored by a *twin* — a distinct unit whose build inputs, and so
+        whose digest, coincide — so what a caller gets never depends on
+        which twin ran first.
         """
         t0 = time.perf_counter()
-        digest = self.digest_of(unit)
+        digest, build = self._resolve(unit)
         failed = self._failed.get(digest)
         if failed is not None:
             self._raise_failed(failed)
@@ -606,13 +667,20 @@ class SweepExecutor:
                     # no new admissions during a drain; the journal's
                     # missing `done` record re-enqueues this on --resume
                     raise SweepInterrupted(unit.label())
-                payload = self._simulate_with_retry(unit, digest)
+                if build is not None:
+                    self._builds[digest] = build
+                try:
+                    payload = self._simulate_with_retry(unit, digest)
+                finally:
+                    self._record_verdicts([digest])
             if serve is not None:
                 serve.attrs["source"] = source
         self.stats.record(
             unit, digest, time.perf_counter() - t0, payload["seconds"], source
         )
-        return result_from_json(payload, cached=source != "run")
+        result = result_from_json(payload, cached=source != "run")
+        result.unit = unit
+        return result
 
     def run_units(self, units: Iterable[WorkUnit]) -> list[UnitResult]:
         """Serve many units (prewarming misses in parallel first).
@@ -637,6 +705,7 @@ class SweepExecutor:
 
     def _simulate_with_retry(self, unit: WorkUnit, digest: str) -> dict:
         """Sequential execution with timeout, bounded retry, quarantine."""
+        build = self._build_for(digest, unit)
         attempt = 0
         while True:
             attempt += 1
@@ -646,9 +715,13 @@ class SweepExecutor:
                     "unit.attempt", "unit", label=unit.label(), attempt=attempt
                 ) as attempt_span:
                     with _deadline(self.timeout):
-                        payload = _execute_payload(unit, attempt, self.faults)
+                        payload = _execute_payload(
+                            unit, attempt, self.faults, build
+                        )
                     _virtual_launch_spans(payload, attempt_span)
             except Exception as e:
+                if build.verdict is not None:
+                    self._note_verdict(digest, build.verdict.as_dict())
                 kind = classify(e)
                 if kind is FailureKind.TRANSIENT and attempt <= self.retries:
                     delay = retry_delay(self.backoff, attempt, digest)
@@ -671,6 +744,7 @@ class SweepExecutor:
                 raise UnitFailed(
                     failed.label, kind, failed.error, injected=failed.injected
                 ) from e
+            self._note_verdict(digest, build.verdict.as_dict())
             metrics.histogram("exec.unit_sim_s").observe(payload["seconds"])
             self._store(digest, payload, unit.label())
             # the result is durably in the cache before the journal says
@@ -682,9 +756,16 @@ class SweepExecutor:
         """Simulate every not-yet-cached unit, fanning out when asked.
 
         Duplicates are deduplicated by digest; already-cached and
-        quarantined units cost nothing.  Returns the number of units
-        attempted.  Failures are recorded, not raised — the sweep's
-        remaining units always complete.
+        quarantined units cost nothing.  Of twins (distinct units sharing
+        a digest) the one with the smallest label executes, whatever the
+        order of ``units``.  Returns the number of units attempted.
+        Failures are recorded, not raised — the sweep's remaining units
+        always complete.
+
+        Each cold unit keeps the build artifact its digest was computed
+        from until it has executed; its preflight verdict, derived in
+        its own execution (in whichever process ran it), is recorded
+        once the whole plan is done.
         """
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         if self.adaptive_jobs and jobs > 1:
@@ -697,8 +778,14 @@ class SweepExecutor:
         seen: set = set()
         warm = 0
         for u in units:
-            d = self.digest_of(u)
+            d, build = self._resolve(u)
             if d in seen:
+                twin = todo.get(d)
+                if twin is not None and u.label() < twin.label():
+                    todo[d] = u
+                    self._builds.pop(d, None)
+                    if build is not None:
+                        self._builds[d] = build
                 continue
             seen.add(d)
             if d in self._failed:
@@ -706,6 +793,8 @@ class SweepExecutor:
             payload, _ = self._lookup(d)
             if payload is None:
                 todo[d] = u
+                if build is not None:
+                    self._builds[d] = build
             else:
                 warm += 1
                 if d in self._resumed_done:
@@ -715,8 +804,6 @@ class SweepExecutor:
             self.journal.record_plan(len(seen), len(todo))
         if not todo:
             return 0
-        if self.preflight:
-            self._preflight(todo)
         prog = self._progress_line = ProgressLine(
             len(seen), label="sweep", mode=self.progress
         ) if self.progress != "off" else None
@@ -755,37 +842,10 @@ class SweepExecutor:
             if prog is not None:
                 prog.close()
             self._progress_line = None
+            self._record_verdicts(todo)
+            for d in todo:  # drained or pool leftovers: nothing held
+                self._builds.pop(d, None)
         return len(todo)
-
-    def _preflight(self, todo: dict) -> None:
-        """Classify cold units that would abort at enqueue, before launch.
-
-        Advisory by design: a would-ABT unit still executes (its cached
-        BenchResult carries the Table VI failure tag either way), so
-        results are identical with the guard on or off — the guard's
-        value is the *early*, pre-launch report and the structured
-        verdicts in ``stats.preflight``.
-        """
-        from .lifecycle import preflight_unit
-
-        with tspans.span("sweep.preflight", "engine", units=len(todo)):
-            for u in todo.values():
-                v = preflight_unit(u)
-                self.stats.preflight_checked += 1
-                metrics.counter("exec.preflight.checked").inc()
-                if not v.would_abt:
-                    continue
-                self.stats.preflight.append(v.as_dict())
-                tspans.event(
-                    "preflight.abt", "engine", label=v.label, code=v.code,
-                    kernel=v.kernel,
-                )
-                log.info(
-                    "preflight.abt",
-                    f"{v.label}: kernel {v.kernel!r} would abort at enqueue "
-                    f"({v.code}: {v.registers} regs, {v.shared_bytes} B "
-                    f"local, {v.threads} threads)",
-                )
 
     # -- parallel fan-out --------------------------------------------------
     def _prewarm_parallel(self, todo: dict, jobs: int) -> None:
@@ -887,7 +947,7 @@ class SweepExecutor:
                     try:
                         fut = pool.submit(
                             _worker_payload, u, attempts[d], self.faults,
-                            self.timeout, span_ctx,
+                            self.timeout, span_ctx, self._build_for(d, u),
                         )
                     except concurrent.futures.BrokenExecutor:
                         # pool died mid-submission; resubmit next round
@@ -965,6 +1025,7 @@ class SweepExecutor:
                         out = pool.submit(
                             _worker_payload, u, attempts[d], self.faults,
                             self.timeout, self._span_ctx(),
+                            self._build_for(d, u),
                         ).result()
                 except _POOL_ERRORS:
                     injected = (
@@ -996,6 +1057,7 @@ class SweepExecutor:
                 tr.absorb(tele["spans"])
             if tele.get("metrics"):
                 metrics.registry().merge_snapshot(tele["metrics"])
+        self._note_verdict(d, out.get("verdict"))
         if "ok" in out:
             payload = out["ok"]
             metrics.histogram("exec.unit_sim_s").observe(payload["seconds"])

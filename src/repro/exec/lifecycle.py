@@ -12,14 +12,15 @@ Three robustness pieces that wrap the engine rather than living in it:
   stops admitting work, in-flight units get a bounded grace period, the
   journal records ``interrupted``, and the process exits 75.  A second
   signal skips the grace period and stops hard.
-* **ABT preflight** — :func:`preflight_unit` predicts, before any
-  launch, whether a unit will abort at enqueue for lack of device
-  resources (Table VI's "ABT" rows).  It compiles the unit's kernels
-  through the same front ends with the same
-  :meth:`~repro.arch.specs.DeviceSpec.launch_reg_budget` the runtimes
-  use, then asks :func:`repro.sim.device.admission_error` — the same
-  pure function the simulator's launch path calls — so a verdict agrees
-  with the eventual launch outcome by construction, not by a parallel
+* **ABT preflight** — :func:`preflight_unit` predicts, before a unit's
+  first launch, whether it will abort at enqueue for lack of device
+  resources (Table VI's "ABT" rows).  Inside the unit's execution it
+  reads the kernels the host just compiled (same front ends, same
+  :meth:`~repro.arch.specs.DeviceSpec.launch_reg_budget`) from the
+  unit's build artifact, then asks
+  :func:`repro.sim.device.admission_error` — the same pure function
+  the simulator's launch path calls — so a verdict agrees with the
+  eventual launch outcome by construction, not by a parallel
   reimplementation of the rules.
 """
 from __future__ import annotations
@@ -33,7 +34,8 @@ from ..compiler.nvopencc import compile_cuda
 from ..errors import ABORT_CODES, FailureKind
 from ..sim.device import admission_error
 from ..telemetry import log, metrics
-from .unit import WorkUnit, unit_build
+from ..telemetry import spans as tspans
+from .unit import UnitBuild, WorkUnit
 
 __all__ = [
     "EXIT_CLEAN",
@@ -42,6 +44,7 @@ __all__ = [
     "GracefulShutdown",
     "PreflightVerdict",
     "preflight_unit",
+    "report_verdict",
     "run_outcome",
     "add_lifecycle_arguments",
     "open_journal",
@@ -145,27 +148,36 @@ class PreflightVerdict:
         return dataclasses.asdict(self)
 
 
-def preflight_unit(unit: WorkUnit, spec=None) -> PreflightVerdict:
+def preflight_unit(unit: WorkUnit, spec=None, build=None) -> PreflightVerdict:
     """Predict whether ``unit`` would abort at enqueue (Table VI "ABT").
 
-    Compiles each of the unit's kernels exactly as the host API would —
-    same front end, same per-thread register budget from
-    ``spec.launch_reg_budget(wg_hint)`` — and feeds the compiled
-    resource usage to the simulator's own ``admission_error``.  The
-    verdict is advisory: the engine still executes the unit, so cached
-    results, Table VI, and rendered reports are byte-identical with the
-    guard on or off.
+    Feeds each kernel's compiled resource usage to the simulator's own
+    ``admission_error``.  With a :class:`~repro.exec.unit.UnitBuild`
+    whose ``ptx`` the host already compiled, that is a lookup over the
+    kernels the unit launches; otherwise the kernels are compiled here
+    exactly as the host API would — same front end, same per-thread
+    register budget from ``spec.launch_reg_budget(wg_hint)``.  The
+    verdict is advisory: the unit executes either way, so cached
+    results, Table VI, and rendered reports are byte-identical with
+    the guard on or off.
     """
+    if build is not None:
+        spec = build.spec
     spec = spec if spec is not None else unit.spec
     label = unit.label()
     if unit.api == "cuda" and not spec.supports_cuda():
         # the unit fails at context creation, not at enqueue: not ABT
         return PreflightVerdict(label, False, note="cuda-unsupported")
     try:
-        bench, dialect, params, opts, defines = unit_build(unit, spec)
+        if build is None:
+            build = UnitBuild(unit, spec)
+        kernels = build.kernels
         compile_fn = compile_cuda if unit.api == "cuda" else compile_opencl
-        for k in bench.build_kernels(dialect, opts, defines, params):
-            ptx = compile_fn(k, max_regs=spec.launch_reg_budget(k.wg_hint))
+        compiled = build.ptx if build.ptx is not None else (
+            compile_fn(k, max_regs=spec.launch_reg_budget(k.wg_hint))
+            for k in kernels
+        )
+        for k, ptx in zip(kernels, compiled):
             # block shape: admission only depends on the thread product,
             # and every host launches with product == wg_hint
             code = admission_error(spec, ptx.resources, (k.wg_hint, 1, 1))
@@ -185,6 +197,21 @@ def preflight_unit(unit: WorkUnit, spec=None) -> PreflightVerdict:
         return PreflightVerdict(
             label, False, note=f"inconclusive: {type(e).__name__}: {e}"
         )
+
+
+def report_verdict(v: PreflightVerdict) -> None:
+    """Log and trace a would-ABT verdict (a no-op for any other)."""
+    if not v.would_abt:
+        return
+    tspans.event(
+        "preflight.abt", "engine", label=v.label, code=v.code, kernel=v.kernel,
+    )
+    log.info(
+        "preflight.abt",
+        f"{v.label}: kernel {v.kernel!r} would abort at enqueue "
+        f"({v.code}: {v.registers} regs, {v.shared_bytes} B "
+        f"local, {v.threads} threads)",
+    )
 
 
 def add_lifecycle_arguments(parser) -> None:

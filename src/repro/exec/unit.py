@@ -34,7 +34,7 @@ __all__ = [
     "WorkUnit",
     "UnitResult",
     "make_unit",
-    "unit_build",
+    "UnitBuild",
     "unit_fingerprint",
     "unit_digest",
     "execute",
@@ -109,50 +109,105 @@ def _plain(v):
     return repr(v)
 
 
-def unit_build(unit: WorkUnit, spec: Optional[DeviceSpec] = None) -> tuple:
-    """Resolve the unit's build inputs exactly as a run would.
+class UnitBuild:
+    """One unit's build artifact: its KIR kernels, built exactly once.
 
-    Returns ``(bench, dialect, params, opts, defines)`` — the single
-    resolution path shared by :func:`unit_fingerprint` (content
-    addressing) and the lifecycle ABT preflight guard (which compiles
-    the same kernels the host would), so the two can never drift.
+    Digesting, the ABT preflight and execution all read the kernels
+    from here instead of rebuilding them.  Execution fills in the
+    compiled PTX (:meth:`compiled`, called by ``Benchmark.run`` between
+    the program build and the first launch) and derives the unit's
+    preflight verdict from it.  The :class:`~repro.exec.engine
+    .SweepExecutor` that digests a unit owns its artifact and drops it
+    once the unit has executed; nothing here is process-global.
+
+    Pickles as its unit, spec and kernels only, which is what a pool
+    worker needs to execute the unit without building it again.
     """
-    spec = spec if spec is not None else unit.spec
-    bench = get_benchmark(unit.benchmark)
-    dialect = CUDA if unit.api == "cuda" else OPENCL
-    params = bench.sizes()[unit.size]
-    opts = bench.options_for(dialect, dict(unit.options))
-    defines = {"WARP_SIZE": spec.warp_width}
-    return bench, dialect, params, opts, defines
+
+    def __init__(
+        self,
+        unit: WorkUnit,
+        spec: Optional[DeviceSpec] = None,
+        kernels: Optional[list] = None,
+        report: bool = True,
+    ) -> None:
+        self.unit = unit
+        self.spec = spec if spec is not None else unit.spec
+        #: log and trace a would-ABT verdict as soon as it is derived
+        self.report = report
+        # the build inputs, resolved exactly as Benchmark.run resolves them
+        self.bench = get_benchmark(unit.benchmark)
+        self.dialect = CUDA if unit.api == "cuda" else OPENCL
+        self.params = self.bench.sizes()[unit.size]
+        self.opts = self.bench.options_for(self.dialect, dict(unit.options))
+        self.defines = {"WARP_SIZE": self.spec.warp_width}
+        self.error: Optional[Exception] = None
+        if kernels is None:
+            try:
+                kernels = self.bench.build_kernels(
+                    self.dialect, self.opts, self.defines, self.params
+                )
+            except Exception as e:  # device limits; the unit stays keyable
+                self.error = e
+        self._kernels = kernels
+        #: PTX the host compiled, one per kernel (set by :meth:`compiled`)
+        self.ptx: Optional[list] = None
+        #: the :class:`~repro.exec.lifecycle.PreflightVerdict` derived
+        #: from ``ptx``
+        self.verdict = None
+
+    def __reduce__(self):
+        kernels = self._kernels if self.error is None else None
+        return (UnitBuild, (self.unit, self.spec, kernels, self.report))
+
+    @property
+    def kernels(self) -> list:
+        """The built kernels; re-raises the error construction hit."""
+        if self.error is not None:
+            raise self.error
+        return self._kernels
+
+    def compiled(self, ptx) -> None:
+        """Record the host's compiled kernels and derive the verdict.
+
+        Runs before the unit's first launch, so a would-ABT verdict is
+        reported before the launch that will abort.
+        """
+        from .lifecycle import preflight_unit, report_verdict
+
+        self.ptx = list(ptx)
+        self.verdict = preflight_unit(self.unit, self.spec, build=self)
+        if self.report:
+            report_verdict(self.verdict)
 
 
 def unit_fingerprint(
     unit: WorkUnit,
     spec: Optional[DeviceSpec] = None,
     version: Optional[str] = None,
+    build: Optional[UnitBuild] = None,
 ) -> dict:
     """Everything that determines the unit's result, as a JSON payload.
 
     ``spec``/``version`` overrides exist for tests that probe the
-    invalidation rules without editing global state.
+    invalidation rules without editing global state; ``build`` reuses
+    an artifact that already holds the unit's kernels.
     """
-    spec = spec if spec is not None else unit.spec
-    bench, dialect, params, opts, defines = unit_build(unit, spec)
-    try:
-        sources = [
-            pretty.render(k, dialect)
-            for k in bench.build_kernels(dialect, opts, defines, params)
-        ]
-    except Exception as e:  # construction can hit device limits; still keyable
+    if build is None:
+        build = UnitBuild(unit, spec)
+    if build.error is None:
+        sources = [pretty.render(k, build.dialect) for k in build.kernels]
+    else:
+        e = build.error
         sources = [f"<kernel construction failed: {type(e).__name__}: {e}>"]
     return {
         "benchmark": unit.benchmark,
         "api": unit.api,
         "size": unit.size,
-        "device": _plain(dataclasses.asdict(spec)),
-        "params": _plain(params),
-        "options": _plain(opts),
-        "defines": _plain(defines),
+        "device": _plain(dataclasses.asdict(build.spec)),
+        "params": _plain(build.params),
+        "options": _plain(build.opts),
+        "defines": _plain(build.defines),
         "kernels": sources,
         "version": version if version is not None else __version__,
     }
@@ -167,12 +222,18 @@ def unit_digest(
     unit: WorkUnit,
     spec: Optional[DeviceSpec] = None,
     version: Optional[str] = None,
+    build: Optional[UnitBuild] = None,
 ) -> str:
     """The unit's content address (sha256 hex)."""
-    return digest_of_fingerprint(unit_fingerprint(unit, spec=spec, version=version))
+    return digest_of_fingerprint(
+        unit_fingerprint(unit, spec=spec, version=version, build=build)
+    )
 
 
-def execute(unit: WorkUnit, attempt: int = 1, faults=None) -> UnitResult:
+def execute(
+    unit: WorkUnit, attempt: int = 1, faults=None,
+    build: Optional[UnitBuild] = None,
+) -> UnitResult:
     """Actually simulate one work unit (no caching at this layer).
 
     ``attempt``/``faults`` are the fault-injection boundary: when a
@@ -180,19 +241,31 @@ def execute(unit: WorkUnit, attempt: int = 1, faults=None) -> UnitResult:
     planned for this unit's label *before* the simulation runs, so
     injected failures behave exactly like real ones to every layer
     above (retry, quarantine, reporting).
+
+    The run reads its kernels from ``build`` (built here when absent)
+    and leaves the unit's preflight verdict in ``build.verdict``: the
+    one derived from the compiled kernels, or, when the program build
+    failed, the standalone :func:`~repro.exec.lifecycle.preflight_unit`
+    verdict.
     """
     from ..prof.collect import sim_device_of
     from ..prof.profile import aggregate
+    from .lifecycle import preflight_unit
 
     if faults is not None:
         faults.fire(unit.label(), attempt)
-    bench = get_benchmark(unit.benchmark)
+    if build is None:
+        build = UnitBuild(unit)
     host = host_for(unit.api, unit.spec)
     t0 = time.perf_counter()
-    result = bench.run(host, size=unit.size, options=unit.options_dict())
+    result = build.bench.run(
+        host, size=unit.size, options=unit.options_dict(), build=build
+    )
     seconds = time.perf_counter() - t0
+    if build.verdict is None:
+        build.verdict = preflight_unit(unit, build.spec, build=build)
     profile = aggregate(
-        sim_device_of(host).profiles, label=f"{bench.name}/{unit.api}"
+        sim_device_of(host).profiles, label=f"{build.bench.name}/{unit.api}"
     )
     return UnitResult(
         unit=unit, bench=result, profile=profile, seconds=seconds, cached=False

@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 from ..errors import UnitFailed
 from .cache import canonical_payload, result_to_json
 from .lifecycle import preflight_unit
-from .unit import WorkUnit, make_unit, unit_build, unit_digest
+from .unit import UnitBuild, WorkUnit, make_unit, unit_digest
 
 __all__ = [
     "variants_for_unit",
@@ -47,9 +47,7 @@ def variants_for_unit(unit: WorkUnit, plan_options: Optional[Mapping] = None) ->
     """
     from ..kir.rewrite import VariantPlan
 
-    bench, dialect, params, opts, defines = unit_build(unit)
-    kerns = bench.build_kernels(dialect, opts, defines, params)
-    plan = VariantPlan(kerns, **(plan_options or {}))
+    plan = VariantPlan(UnitBuild(unit).kernels, **(plan_options or {}))
     return [v.token for v in plan.variants()]
 
 

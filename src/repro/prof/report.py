@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from ..telemetry import metrics
 from .profile import LaunchProfile, aggregate
 
 __all__ = [
@@ -174,6 +175,11 @@ def render_sweep(stats, title: str = "sweep") -> str:
             f"cache: {mem} memo hit(s), {stats.disk_hits} disk hit(s){q}, "
             f"{_fmt_s(stats.cache_serve_seconds)} sim time served from cache"
         )
+    reg = metrics.registry()
+    cc = [reg.get(f"compiler.ccache.{k}") for k in ("hits", "misses")]
+    if any(c is not None for c in cc):
+        hits, misses = (int(c.value) if c is not None else 0 for c in cc)
+        lines.append(f"compile cache: {hits} hit(s), {misses} miss(es)")
     resumed = getattr(stats, "resumed", None)
     if resumed:
         lines.append(

@@ -35,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import threading
@@ -109,6 +110,12 @@ class Instant:
         }
 
 
+#: span-id sequence shared by every tracer in the process, so IDs never
+#: repeat within one process (a forked worker inherits the position,
+#: but its IDs carry its own PID)
+_SPAN_IDS = itertools.count(1)
+
+
 class Tracer:
     """Collects one process's spans; optionally streams them as JSONL."""
 
@@ -123,7 +130,6 @@ class Tracer:
     ):
         self.trace_id = run_id or f"run-{os.getpid()}-{int(time.time() * 1e3):x}"
         self._prefix = _id_prefix if _id_prefix is not None else "s"
-        self._next = 0
         self._lock = threading.Lock()
         #: finished spans + instants, in completion order
         self.events: list = []
@@ -134,9 +140,7 @@ class Tracer:
 
     # -- span lifecycle ---------------------------------------------------
     def _new_id(self) -> str:
-        with self._lock:
-            self._next += 1
-            return f"{self._prefix}{self._next}"
+        return f"{self._prefix}{next(_SPAN_IDS)}"
 
     def _tos(self) -> list:
         st = getattr(self._stack, "spans", None)
@@ -333,8 +337,10 @@ def worker_tracer(ctx) -> Optional[Tracer]:
 
     ``ctx`` is the ``(trace_id, parent_span_id)`` pair the engine put in
     the work-unit submission (or None when the parent ran untraced).
-    Span IDs are prefixed with the worker PID so the parent can absorb
-    events from any number of workers without collisions.
+    Span IDs are prefixed with the worker PID, and every tracer in a
+    process draws from one sequence, so the parent can absorb events
+    from any number of workers, each running many units, without
+    collisions.
     """
     if ctx is None:
         return None

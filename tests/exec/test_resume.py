@@ -6,7 +6,10 @@ Three real CLI processes:
    JSON;
 2. the same sweep in a fresh cache with an injected ``interrupt`` fault
    (the chaos harness SIGINTs the parent mid-sweep) — it must drain,
-   exit 75, journal ``interrupted``, and write **no** results document;
+   exit 75, journal ``interrupted``, and write **no** results document.
+   The plan's last unit is pinned with a ``hang`` fault far longer than
+   the drain's grace period, so that run leaves work behind by
+   construction, whatever the scheduling;
 3. a ``--resume`` rerun with the fault cleared — it must exit 0,
    re-simulate only what the interrupted run did not finish, and write
    results JSON **byte-identical** to the uninterrupted reference.
@@ -15,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -55,9 +59,11 @@ def scenario(tmp_path_factory):
     out_json = cache / "results.json"
 
     reference = run_cli(ARGS + ["--results-json", str(ref_json)], ref_cache)
+    # SPMV/opencl is the plan's last unit: it starts after the SIGINT
+    # (or never), and hangs past the grace period
     interrupted = run_cli(
-        ARGS + ["--results-json", str(out_json)], cache,
-        faults="interrupt:Sobel/cuda*",
+        ARGS + ["--results-json", str(out_json), "--grace", "10"], cache,
+        faults="interrupt:Sobel/cuda*;hang:SPMV/opencl*:1:1:120",
     )
     # checked here because the resumed run (rightly) writes this file
     partial_results_written = out_json.exists()
@@ -108,10 +114,10 @@ def test_interrupted_journal_state(scenario):
     assert rep.state == "interrupted" and rep.resumable
     assert rep.torn_lines == 0
     assert rep.completed, "the grace period should finish in-flight units"
-    # the drain left real work behind for --resume: depending on where
-    # the SIGINT lands, unfinished units are either journaled in-flight
-    # (submitted, then cancelled) or never admitted at all — both show
-    # up as completed < total
+    # the drain left real work behind for --resume: at least the hung
+    # unit; others are journaled in-flight (submitted, then cancelled)
+    # or never admitted at all, depending on where the SIGINT lands —
+    # all show up as completed < total
     assert len(rep.completed) < 2 * len(BENCHES), (
         "the interrupted run finished everything; nothing to resume"
     )
@@ -142,6 +148,19 @@ def test_completed_units_not_resimulated(scenario):
     )
     # and the rerun picked up everything that was left hanging
     assert first.in_flight <= started_again
+
+
+def test_grace_expiry_reaps_a_hung_worker(tmp_path):
+    # the unit that sends the SIGINT then hangs, so a worker is stuck in
+    # flight when the drain starts; the grace period must bound the run
+    t0 = time.monotonic()
+    r = run_cli(
+        ["TranP", "--device", "GTX480", "--api", "both", "--size", "small",
+         "--jobs", "2", "--quiet", "--grace", "1"],
+        tmp_path, faults="interrupt:TranP/cuda*;hang:TranP/cuda*:1:1:300",
+    )
+    assert r.returncode == 75, r.stderr
+    assert time.monotonic() - t0 < 120
 
 
 def test_results_json_is_valid_canonical_doc(scenario):

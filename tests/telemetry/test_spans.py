@@ -80,6 +80,33 @@ def test_worker_tracer_ids_are_pid_prefixed():
     assert tspans.worker_tracer(None) is None
 
 
+def test_worker_tracer_ids_unique_per_process():
+    # one worker process runs many units, one tracer each
+    a = tspans.worker_tracer(("trace-1", "s1"))
+    b = tspans.worker_tracer(("trace-1", "s1"))
+    for wt in (a, b):
+        with tspans.use_tracer(wt):
+            with tspans.span("unit.attempt", "unit"):
+                pass
+        wt.finish()
+    ids_a = {e.span_id for e in a.events}
+    ids_b = {e.span_id for e in b.events}
+    assert ids_a and ids_b and not ids_a & ids_b
+
+
+def test_pool_merged_trace_has_no_duplicate_span_ids(tmp_path):
+    tr = tspans.Tracer(run_id="ids-test")
+    with tspans.use_tracer(tr):
+        ex = rexec.SweepExecutor(jobs=2, cache=tmp_path, progress=False)
+        ex.prewarm(UNITS)
+    tr.finish()
+    ids = [e.span_id for e in tr.events if isinstance(e, tspans.Span)]
+    workers = {i.split("-", 1)[0] for i in ids if i.startswith("w")}
+    # more units than workers: some worker ran several units
+    assert 0 < len(workers) < len(UNITS)
+    assert len(ids) == len(set(ids))
+
+
 def test_spans_propagate_across_pool_workers(tmp_path):
     """jobs=2 prewarm: worker attempt spans land in the parent trace,
     parented under the parent-side sweep span chain."""
