@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-import numpy as np
-
 __all__ = ["LRUCache", "CacheStats", "null_cache"]
 
 
@@ -82,10 +80,6 @@ class LRUCache:
             s.popitem(last=False)
         return False
 
-    def access_many(self, bases: np.ndarray) -> int:
-        """Touch several lines; returns the number of hits."""
-        return sum(1 for b in bases.tolist() if self.access(b))
-
     def invalidate(self) -> None:
         self._data.clear()
 
@@ -101,10 +95,6 @@ class _NullCache:
     def access(self, base: int) -> bool:
         self.stats.misses += 1
         return False
-
-    def access_many(self, bases: np.ndarray) -> int:
-        self.stats.misses += int(bases.size)
-        return 0
 
     def invalidate(self) -> None:  # pragma: no cover - nothing to clear
         pass

@@ -2,11 +2,14 @@
 
 Sweeps compile the same few source kernels hundreds of times (every
 device x experiment unit rebuilds its programs from scratch), and the
-pipeline is pure: output depends only on the source kernel, the
-dialect, and the register budget.  The cache keys on exactly those and
-returns a *defensive copy* per hit — callers mutate the result
-(``Program.build`` rewrites ``defines``, runtimes set ``producer``) and
-digests are memoized onto kernel objects, so shared instances would
+pipeline is pure.  As in the paper's Fig. 9, only ptxas (step 6) sees
+the register budget, so the cache has two stages: the front end's
+unassembled PTX keyed on (dialect, source), and the assembled PTX keyed
+on (dialect, budget, source).  A kernel built for several budgets runs
+its front end once.  Both stages hand out *defensive copies* — callers
+mutate the result (``Program.build`` rewrites ``defines``, runtimes set
+``producer``, ``assemble`` rebinds ``instrs`` and fills ``resources``)
+and digests are memoized onto kernel objects, so shared instances would
 alias across programs.
 
 The KIR ``Kernel`` tree is plain nested dataclasses, so a structural
@@ -14,11 +17,11 @@ serialization of it is a deterministic fingerprint of the source:
 ``pickle`` gives the same bytes for trees built the same way and runs
 at C speed, where the dataclass ``repr`` walk dominated compile-hit
 cost.  Instruction lists are copied shallowly: ``Instr`` objects are
-never mutated after assembly.
+never mutated after lowering.
 
-Every lookup also bumps the ``compiler.ccache.hits`` /
-``compiler.ccache.misses`` registry counters, which pool workers ship
-home with the rest of their metrics.
+Lookups bump the ``compiler.ccache.hits``/``.misses`` registry
+counters, and full-compile misses ``compiler.frontend.hits``/``.misses``;
+pool workers ship them home with the rest of their metrics.
 """
 from __future__ import annotations
 
@@ -32,19 +35,15 @@ from ..telemetry import metrics
 __all__ = ["cached_compile", "cache_stats", "clear"]
 
 _cache: dict = {}
-_CAP = 512  # source kernels are small; this is plenty for any sweep
-_hits = 0
-_misses = 0
+_frontend: dict = {}
+_CAP = 512  # per table; source kernels are small, this is plenty for any sweep
+_stats = dict.fromkeys(("hits", "misses", "frontend_hits", "frontend_misses"), 0)
 
 
-def _key(dialect: str, kernel: Kernel, max_regs: int) -> tuple:
+def _source(kernel: Kernel) -> bytes:
     # ``defines`` is attached as a plain attribute, not a field, so the
     # structural dump of the kernel tree does not cover it
-    return (
-        dialect,
-        max_regs,
-        pickle.dumps((kernel, getattr(kernel, "defines", None)), protocol=4),
-    )
+    return pickle.dumps((kernel, getattr(kernel, "defines", None)), protocol=4)
 
 
 def _clone(ptx: PTXKernel) -> PTXKernel:
@@ -67,18 +66,35 @@ def _clone(ptx: PTXKernel) -> PTXKernel:
     return k
 
 
-def cached_compile(dialect: str, kernel: Kernel, max_regs: int, compile_fn):
-    """Return a compiled copy of ``kernel``, compiling on first sight."""
-    global _hits, _misses
-    key = _key(dialect, kernel, max_regs)
+def _count(stat: str, counter: str) -> None:
+    _stats[stat] += 1
+    metrics.counter(counter).inc()
+
+
+def cached_compile(dialect: str, kernel: Kernel, max_regs: int, front, back):
+    """Return a compiled copy of ``kernel``, compiling on first sight.
+
+    ``front(kernel)`` runs the budget-free front end and returns
+    unassembled PTX; ``back(ptx, kernel, max_regs)`` assembles a copy of
+    it for the budget and returns the finished kernel.
+    """
+    source = _source(kernel)
+    key = (dialect, max_regs, source)
     entry = _cache.get(key)
     if entry is not None:
-        _hits += 1
-        metrics.counter("compiler.ccache.hits").inc()
+        _count("hits", "compiler.ccache.hits")
         return _clone(entry)
-    _misses += 1
-    metrics.counter("compiler.ccache.misses").inc()
-    ptx = compile_fn()
+    _count("misses", "compiler.ccache.misses")
+    fkey = (dialect, source)
+    lowered = _frontend.get(fkey)
+    if lowered is not None:
+        _count("frontend_hits", "compiler.frontend.hits")
+    else:
+        _count("frontend_misses", "compiler.frontend.misses")
+        lowered = front(kernel)
+        if len(_frontend) < _CAP:
+            _frontend[fkey] = lowered
+    ptx = back(_clone(lowered), kernel, max_regs)
     ptx.content_digest()  # memoize pre-clone so every copy inherits it
     if len(_cache) < _CAP:
         _cache[key] = _clone(ptx)
@@ -86,12 +102,12 @@ def cached_compile(dialect: str, kernel: Kernel, max_regs: int, compile_fn):
 
 
 def cache_stats() -> dict:
-    return {"hits": _hits, "misses": _misses, "entries": len(_cache)}
+    return dict(_stats, entries=len(_cache), frontend_entries=len(_frontend))
 
 
 def clear() -> None:
-    """Drop all entries (tests use this to force cold compiles)."""
-    global _hits, _misses
+    """Drop both stages' entries (tests use this to force cold compiles)."""
     _cache.clear()
-    _hits = 0
-    _misses = 0
+    _frontend.clear()
+    for k in _stats:
+        _stats[k] = 0

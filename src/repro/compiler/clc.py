@@ -2,8 +2,8 @@
 
 Pipeline: literal-only constant fold -> pragma-only unroll -> re-fold ->
 style-directed lowering (no CSE, shift+add addressing, branchy control
-flow, float-fma fusion) -> DCE -> ptxas with a reduced effective
-register budget.
+flow, float-fma fusion) -> DCE (``_front``, no register budget) ->
+ptxas with a reduced effective register budget (``_back``).
 
 The reduced budget models the 2010-era OpenCL allocator's earlier
 spilling (it pins address temporaries and does not coalesce copies);
@@ -42,21 +42,19 @@ def compile_opencl(
             f"kernel {kernel.name!r} is {kernel.dialect}-dialect; "
             "use compile_cuda (or force=True)"
         )
-    return cached_compile(
-        "opencl", kernel, max_regs, lambda: _compile(kernel, max_regs)
-    )
+    return cached_compile("opencl", kernel, max_regs, _front, _back)
 
 
-def _compile(kernel: Kernel, max_regs: int) -> PTXKernel:
-    log: list[str] = []
+def _front(kernel: Kernel) -> PTXKernel:
     k = fold_constants(kernel, prune_branches=False, algebraic=False)
-    k, report = unroll_loops(k, auto_limit=0, honor_pragmas=True)
-    log += report.log_lines()
+    k, _ = unroll_loops(k, auto_limit=0, honor_pragmas=True)
     k = fold_constants(k, prune_branches=False, algebraic=False)
     ptx = lower_kernel(k, CLC_STYLE)
-    removed = eliminate_dead_code(ptx)
-    if removed:
-        log.append(f"dce removed {removed} instructions")
+    eliminate_dead_code(ptx)
+    return ptx
+
+
+def _back(ptx: PTXKernel, kernel: Kernel, max_regs: int) -> PTXKernel:
     effective = max(16, int(max_regs * CLC_REG_BUDGET_FACTOR))
     assemble(ptx, max_regs=effective, conservative_span=CLC_CONSERVATIVE_SPAN)
     ptx.producer = "clc"

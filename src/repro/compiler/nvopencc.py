@@ -2,7 +2,8 @@
 
 Pipeline: branch-pruning constant fold -> pragma + auto unroll ->
 re-fold -> style-directed lowering (CSE, integer-mad addressing,
-if-predication, mov-rich home registers) -> DCE -> ptxas.
+if-predication, mov-rich home registers) -> DCE (``_front``, no
+register budget) -> ptxas at the device's budget (``_back``).
 
 The maturity of this pipeline relative to :mod:`repro.compiler.clc` is
 the paper's explanation for the FFT gap (§IV-B.4, Table V).
@@ -36,23 +37,21 @@ def compile_cuda(
             f"kernel {kernel.name!r} is {kernel.dialect}-dialect; "
             "use compile_opencl (or force=True)"
         )
-    return cached_compile(
-        "cuda", kernel, max_regs, lambda: _compile(kernel, max_regs)
-    )
+    return cached_compile("cuda", kernel, max_regs, _front, _back)
 
 
-def _compile(kernel: Kernel, max_regs: int) -> PTXKernel:
-    log: list[str] = []
+def _front(kernel: Kernel) -> PTXKernel:
     k = fold_constants(kernel, prune_branches=True, algebraic=True)
-    k, report = unroll_loops(
+    k, _ = unroll_loops(
         k, auto_limit=NVOPENCC_STYLE.auto_unroll_limit, honor_pragmas=True
     )
-    log += report.log_lines()
     k = fold_constants(k, prune_branches=True, algebraic=True)
     ptx = lower_kernel(k, NVOPENCC_STYLE)
-    removed = eliminate_dead_code(ptx)
-    if removed:
-        log.append(f"dce removed {removed} instructions")
+    eliminate_dead_code(ptx)
+    return ptx
+
+
+def _back(ptx: PTXKernel, kernel: Kernel, max_regs: int) -> PTXKernel:
     assemble(ptx, max_regs=max_regs)
     ptx.producer = "nvopencc"
     ptx.defines = dict(getattr(kernel, "defines", {}) or {})

@@ -35,7 +35,7 @@ class LiveRange:
         return self.end - self.start
 
 
-def _live_ranges(kernel: PTXKernel, conservative_span: int) -> dict:
+def _live_ranges(kernel: PTXKernel) -> dict:
     """Loop-aware linear live ranges, keyed by register index.
 
     Precise rule (NVOPENCC-quality, and CLC on ordinary loops): only
@@ -157,7 +157,7 @@ def assemble(
     budget on loop bodies longer than that many instructions — see
     :func:`_live_ranges`.  Returns the same kernel object for chaining.
     """
-    ranges = _live_ranges(kernel, conservative_span)
+    ranges = _live_ranges(kernel)
     if conservative_span:
         labels = kernel.label_map()
         spans = [

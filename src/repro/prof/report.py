@@ -176,10 +176,16 @@ def render_sweep(stats, title: str = "sweep") -> str:
             f"{_fmt_s(stats.cache_serve_seconds)} sim time served from cache"
         )
     reg = metrics.registry()
-    cc = [reg.get(f"compiler.ccache.{k}") for k in ("hits", "misses")]
+    names = ("ccache.hits", "ccache.misses", "frontend.hits", "frontend.misses")
+    cc = [reg.get(f"compiler.{k}") for k in names]
     if any(c is not None for c in cc):
-        hits, misses = (int(c.value) if c is not None else 0 for c in cc)
-        lines.append(f"compile cache: {hits} hit(s), {misses} miss(es)")
+        hits, misses, fe_hits, fe_misses = (
+            int(c.value) if c is not None else 0 for c in cc
+        )
+        lines.append(
+            f"compile cache: {hits} hit(s), {misses} miss(es); "
+            f"front end: {fe_hits} hit(s), {fe_misses} miss(es)"
+        )
     resumed = getattr(stats, "resumed", None)
     if resumed:
         lines.append(

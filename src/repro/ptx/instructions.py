@@ -110,15 +110,6 @@ class Instr:
             out.append(self.pred[0])
         return out
 
-    def reg_written(self) -> Optional[Reg]:
-        return self.dst
-
-    def with_srcs(self, srcs: tuple) -> "Instr":
-        return dataclasses.replace(self, srcs=srcs)
-
-    def with_dst(self, dst: Optional[Reg]) -> "Instr":
-        return dataclasses.replace(self, dst=dst)
-
     def copy(self) -> "Instr":
         return dataclasses.replace(self)
 
@@ -131,8 +122,3 @@ class RegAllocator:
 
     def new(self, dtype: Scalar) -> Reg:
         return Reg(next(self._counter), dtype)
-
-    def clone_counter(self) -> int:
-        """Peek the next index (used when passes append registers)."""
-        n = next(self._counter)
-        return n

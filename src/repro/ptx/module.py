@@ -1,17 +1,16 @@
-"""Kernel and module containers for compiled code."""
+"""Kernel container for compiled code."""
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import pickle
-from typing import Iterable, Optional
+from typing import Iterable
 
-from ..kir.stmt import Kernel as KirKernel
 from ..kir.types import AddrSpace, Scalar
 from .instructions import Instr, Reg
 from .isa import Op
 
-__all__ = ["PTXParam", "PTXKernel", "PTXModule", "ResourceUsage"]
+__all__ = ["PTXParam", "PTXKernel", "ResourceUsage"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,9 +74,6 @@ class PTXKernel:
                 hi = max(hi, i.dst.idx)
         return hi
 
-    def pointer_params(self) -> list[PTXParam]:
-        return [p for p in self.params if p.is_pointer]
-
     def content_digest(self) -> str:
         """Stable digest of the executable content, memoized on self.
 
@@ -103,19 +99,3 @@ class PTXKernel:
             d = hashlib.blake2b(blob, digest_size=16).hexdigest()
             self.__dict__["_content_digest"] = d
         return d
-
-
-@dataclasses.dataclass
-class PTXModule:
-    """A compiled translation unit: one or more kernels plus build info."""
-
-    kernels: dict
-    producer: str = ""
-    source: Optional[KirKernel] = None
-    build_log: list = dataclasses.field(default_factory=list)
-
-    def kernel(self, name: str) -> PTXKernel:
-        return self.kernels[name]
-
-    def __iter__(self):
-        return iter(self.kernels.values())

@@ -177,6 +177,7 @@ class SimDevice:
         )
 
         msnap = self.memsys.prof_snapshot()
+        pat_before = self.memsys.pattern_counts()
         regions_before = dict(self.memsys.region_counts)
         memo = self.memo
         entry = mkey = None
@@ -228,4 +229,6 @@ class SimDevice:
         metrics.counter("sim.dram_bytes").inc(float(np.sum(dram)))
         metrics.counter("sim.warp_instructions").inc(stats.warp_instructions)
         metrics.histogram("sim.kernel_s").observe(timing.total_s)
+        for name, n in self.memsys.pattern_counts().items():
+            metrics.counter(f"sim.memsys.pattern.{name}").inc(n - pat_before[name])
         return result

@@ -58,6 +58,11 @@ class MemorySystem:
         self._pat_tex: dict = {}
         self._pat_const: dict = {}
         self._pat_shared: dict = {}
+        # memo lookups that found / missed their pattern, per table
+        self.pat_global_hits = self.pat_global_misses = 0
+        self.pat_tex_hits = self.pat_tex_misses = 0
+        self.pat_const_hits = self.pat_const_misses = 0
+        self.pat_shared_hits = self.pat_shared_misses = 0
         # launch-memo journal of individual dram_bytes adds, or None.
         # dram_bytes is a float fold whose value is summation-order
         # sensitive; memo replay re-applies this exact add sequence.
@@ -76,6 +81,14 @@ class MemorySystem:
     def _pat_put(table: dict, key, value) -> None:
         if len(table) < MemorySystem._PAT_CAP:
             table[key] = value
+
+    def pattern_counts(self) -> dict:
+        """Cumulative pattern-memo counters, ``{table.hits|misses: n}``."""
+        return {
+            f"{table}.{kind}": getattr(self, f"pat_{table}_{kind}")
+            for table in ("global", "tex", "const", "shared")
+            for kind in ("hits", "misses")
+        }
 
     def cache_groups(self) -> dict:
         """Named cache banks for per-launch profiling.
@@ -143,7 +156,10 @@ class MemorySystem:
         """Plain global-space access (the ld.global/st.global path)."""
         key = (addrs.dtype.char, addrs.tobytes(), sizes.tobytes())
         hit = self._pat_global.get(key)
-        if hit is None:
+        if hit is not None:
+            self.pat_global_hits += 1
+        else:
+            self.pat_global_misses += 1
             segs, traffic = coalesce(self.spec, addrs, sizes)
             hit = (segs.tolist(), traffic)
             self._pat_put(self._pat_global, key, hit)
@@ -209,7 +225,10 @@ class MemorySystem:
         line = 32
         key = (addrs.dtype.char, addrs.tobytes(), sizes.tobytes())
         line_list = self._pat_tex.get(key)
-        if line_list is None:
+        if line_list is not None:
+            self.pat_tex_hits += 1
+        else:
+            self.pat_tex_misses += 1
             first = addrs // line
             last = (addrs + np.maximum(sizes, 1) - 1) // line
             line_list = (np.union1d(first, last) * line).tolist()
@@ -236,7 +255,10 @@ class MemorySystem:
         t = self.spec.timing
         key = (addrs.dtype.char, addrs.tobytes())
         bases = self._pat_const.get(key)
-        if bases is None:
+        if bases is not None:
+            self.pat_const_hits += 1
+        else:
+            self.pat_const_misses += 1
             # one entry per *distinct address* in sorted order (two
             # addresses in the same 64B line still serialize)
             bases = [(int(a) // 64) * 64 for a in np.unique(addrs).tolist()]
@@ -257,7 +279,10 @@ class MemorySystem:
         """Memoized :func:`~repro.arch.banks.bank_conflicts`."""
         key = (addrs.dtype.char, addrs.tobytes())
         replays = self._pat_shared.get(key)
-        if replays is None:
+        if replays is not None:
+            self.pat_shared_hits += 1
+        else:
+            self.pat_shared_misses += 1
             replays = bank_conflicts(self.spec, addrs)
             self._pat_put(self._pat_shared, key, replays)
         return replays

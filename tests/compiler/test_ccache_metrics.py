@@ -1,4 +1,4 @@
-"""The compile cache exports its hits and misses as registry counters."""
+"""Both compile-cache stages export hits and misses as registry counters."""
 from repro import exec as rexec
 from repro.arch.specs import GTX280, GTX480
 from repro.compiler import ccache
@@ -14,9 +14,9 @@ UNITS = [
 ]
 
 
-def _counts(reg) -> tuple:
+def _counts(reg, stage="ccache") -> tuple:
     return tuple(
-        reg.counter(f"compiler.ccache.{k}").value for k in ("hits", "misses")
+        reg.counter(f"compiler.{stage}.{k}").value for k in ("hits", "misses")
     )
 
 
@@ -28,8 +28,11 @@ def test_counters_track_cache_stats():
         compile_cuda(kernel, max_regs=63)
         compile_cuda(kernel, max_regs=124)
     assert _counts(reg) == (1, 2)
+    # the 124 miss reuses the front end the first 63 miss ran
+    assert _counts(reg, "frontend") == (1, 1)
     st = ccache.cache_stats()
     assert (st["hits"], st["misses"]) == (1, 2)
+    assert (st["frontend_hits"], st["frontend_misses"]) == (1, 1)
 
 
 def test_counters_merge_home_from_pool_workers(tmp_path):
@@ -39,9 +42,20 @@ def test_counters_merge_home_from_pool_workers(tmp_path):
         ex.prewarm(UNITS)
         text = render_sweep(ex.stats)
     hits, misses = _counts(reg)
+    fe_hits, fe_misses = _counts(reg, "frontend")
     # the parent compiles nothing: every count came home from a worker
     assert ccache.cache_stats()["misses"] == 0
+    assert ccache.cache_stats()["frontend_misses"] == 0
     assert misses >= len(UNITS)
-    assert f"compile cache: {int(hits)} hit(s), {int(misses)} miss(es)" in text
+    assert fe_hits + fe_misses == misses
+    assert 0 < fe_misses <= misses
+    assert (
+        f"compile cache: {int(hits)} hit(s), {int(misses)} miss(es); "
+        f"front end: {int(fe_hits)} hit(s), {int(fe_misses)} miss(es)"
+    ) in text
     exported = om.render(reg.snapshot(), run_id="r")
     assert f'repro_compiler_ccache_misses_total{{run_id="r"}} {int(misses)}' in exported
+    assert (
+        f'repro_compiler_frontend_misses_total{{run_id="r"}} {int(fe_misses)}'
+        in exported
+    )

@@ -132,3 +132,45 @@ class TestLocalSpillPath:
         c = ms.access_local(0, 4, 4)
         assert ms.dram_bytes[0] == before  # cached
         assert c == GTX480.timing.l1_hit
+
+
+class TestPatternMemoCounters:
+    def test_launch_exports_pattern_memo_deltas(self):
+        from repro.compiler import compile_cuda
+        from repro.kir import CUDA, KernelBuilder, Scalar
+        from repro.sim import SimDevice
+        from repro.telemetry import metrics
+
+        k = KernelBuilder("stage", CUDA)
+        a = k.buffer("a", Scalar.F32)
+        o = k.buffer("o", Scalar.F32)
+        s = k.shared("s", Scalar.F32, 64)
+        t = k.let("t", k.tid.x, Scalar.S32)
+        g = k.let("g", k.ctaid.x * 64 + k.tid.x, Scalar.S32)
+        k.store(s, t, a[g])
+        k.barrier()
+        k.store(o, g, s[63 - t] + k.texload(a, g))
+        ptx = compile_cuda(k.finish())
+        dev = SimDevice(GTX480, memoize=False)
+        x = np.arange(256, dtype=np.float32)
+        pa, po = dev.alloc(x.nbytes), dev.alloc(x.nbytes)
+        dev.upload(pa, x)
+
+        def launch() -> dict:
+            with metrics.use_registry() as reg:
+                dev.launch(ptx, 4, 64, {"a": pa, "o": po})
+            return {
+                name: reg.counter(f"sim.memsys.pattern.{name}").value
+                for name in dev.memsys.pattern_counts()
+            }
+
+        first = launch()
+        # a fresh device: the launch's deltas are the memsys totals
+        assert first == dev.memsys.pattern_counts()
+        assert first["tex.misses"] > 0 and first["shared.misses"] > 0
+        # the same access patterns again: every lookup hits
+        again = launch()
+        for table in ("tex", "shared"):
+            lookups = first[f"{table}.hits"] + first[f"{table}.misses"]
+            assert again[f"{table}.hits"] == lookups
+            assert again[f"{table}.misses"] == 0
