@@ -16,7 +16,25 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-__all__ = ["LRUCache", "CacheStats", "null_cache"]
+import numpy as np
+
+__all__ = ["LRUCache", "CacheStats", "null_cache", "texture_lines", "const_bases"]
+
+
+def texture_lines(addrs: np.ndarray, sizes: np.ndarray) -> list:
+    """Sorted distinct 32-byte texture-cache lines one warp fetch touches."""
+    first = addrs // 32
+    last = (addrs + np.maximum(sizes, 1) - 1) // 32
+    return (np.union1d(first, last) * 32).tolist()
+
+
+def const_bases(addrs: np.ndarray) -> list:
+    """One 64-byte constant-cache line base per *distinct* address.
+
+    In sorted address order: two addresses in the same line still
+    serialize, the defining behaviour of the constant path.
+    """
+    return [a // 64 * 64 for a in np.unique(addrs).tolist()]
 
 
 class CacheStats:

@@ -8,9 +8,10 @@ warp's accesses resolve into the set of distinct 128-byte cache lines.
 
 The returned segment bases feed the cache models; the byte total feeds
 the DRAM bandwidth bound; the segment count is the classic
-"transactions per request" metric.  Vectorized with numpy — this runs
-once per executed warp memory instruction and is the hottest
-architectural function in the simulator.
+"transactions per request" metric.  These per-warp rules are the
+reference: the interpreter resolves warp rows in bulk with
+:func:`~repro.arch.rows.coalesce_rows`, which calls :func:`coalesce`
+only for the rows its vectorized rule does not cover.
 """
 from __future__ import annotations
 

@@ -17,14 +17,28 @@ hardware warp group (coalescing is a per-warp phenomenon) through
 
 Batching invariants (the bit-identity contract, see DESIGN.md):
 
-* **Deferred memory-system replay** — cache state (per-CU L1/tex/const
-  banks, the shared L2) is order-sensitive, so the batched pass only
-  *records* every memory access; at batch end the accesses replay per
-  block in linear block order, reproducing the exact sequential cache
-  evolution and DRAM-byte accumulation of per-block execution.
+* **Geometry in bulk** — a memory instruction's geometry depends on
+  its addresses only, never on cache state.  The batched pass records
+  each memory visit's active addresses, and :meth:`GridRunner._resolve`
+  resolves them for all warp rows of many visits at once, one numpy
+  pass per rule and access size (:mod:`repro.arch.rows`): coalesced
+  segments and their bytes, texture lines, constant-line bases,
+  bank-replay factors.  Shared memory holds no cache state at all, so
+  each block's whole shared-access cost (its rows summed in row order
+  with ``np.cumsum``, which adds strictly left to right) and the shared
+  access/replay counters are settled there too.
+* **In-order cache walk** — cache state (per-CU L1/tex/const banks, the
+  shared L2), DRAM bytes and the partition-camping regions are
+  order-sensitive, so at batch end :meth:`GridRunner._replay` walks the
+  recorded global, texture, constant and spill accesses per block in
+  linear block order, each block's in visit and row order: the exact
+  sequential cache evolution of per-block execution.
 * **Per-block cost folds** — ``comp``/``memc`` accumulate per block in
-  that block's own visit order, so the float summation order (and hence
-  every last ulp of the timing model) matches per-block execution.
+  that block's own visit order, as sequential ``np.cumsum`` folds over
+  a (visit, block) matrix; ``cyc_hist`` folds each key's per-visit
+  increments in (block, visit) order.  The float summation order (and
+  hence every last ulp of the timing model) matches per-block
+  execution.
 * **Per-block divergence bookkeeping** — EXIT kills only the blocks
   with lanes in the exiting frame; barriers check convergence per
   participating block; dual-issue pairing state is tracked per block.
@@ -42,15 +56,24 @@ strictly stronger than warp-lockstep.
 from __future__ import annotations
 
 import os
+import time
 from collections import Counter
 
 import numpy as np
 
+from ..arch.rows import (
+    bank_conflict_rows,
+    coalesce_rows,
+    compact_rows,
+    const_rows,
+    line_rows,
+)
 from ..arch.specs import DeviceSpec
 from ..kir.types import AddrSpace, Scalar, np_dtype, sizeof
 from ..ptx.instructions import Imm, Instr, Reg
 from ..ptx.isa import Op, stats_key
 from ..ptx.module import PTXKernel
+from ..telemetry import metrics
 from .memory import FlatMemory
 from .memsys import MemorySystem
 
@@ -71,6 +94,9 @@ _CMP = {
 #: lane count reaches this, amortizing the per-instruction Python cost
 _BATCH_LANES = 32768
 _BATCH_CAP = 64
+#: memory-visit lanes whose geometry may await resolution at once; bounds
+#: the addresses a batch holds before :meth:`GridRunner._resolve` runs
+_PENDING_LANES = 1 << 16
 
 
 #: raw $REPRO_SIM_BATCH values already warned about (warn once per
@@ -185,6 +211,10 @@ class GridRunner:
         self.WW = spec.warp_width
         self.batch_blocks = batch_blocks
         self.stats = LaunchStats(spec.compute_units)
+        #: host seconds in functional simulation (interpretation plus
+        #: access geometry) and in the timing replay
+        self.functional_s = 0.0
+        self.replay_s = 0.0
         # launch preparation is a pure function of (kernel, device,
         # block shape); benchmarks relaunch the same compiled kernel
         # many times, so the products are memoized on the kernel object
@@ -444,6 +474,7 @@ class GridRunner:
         block order, so the result is bit-identical to running the
         blocks one at a time (see the module docstring).
         """
+        start = time.perf_counter()
         spec = self.spec
         t = spec.timing
         stats = self.stats
@@ -484,7 +515,10 @@ class GridRunner:
         prev_mad = [False] * nb
         dual = t.dual_issue_efficiency
         #: recorded visits for the per-block replay (see _replay)
-        visits: list[tuple] = []
+        visits: list = []
+        #: memory visits awaiting geometry, by (kind, access size)
+        pending: dict = {}
+        pending_lanes = 0
         barriers = 0
         steps = 0
         # hot-loop locals; dynamic-instruction counts accumulate per pc
@@ -628,8 +662,16 @@ class GridRunner:
                 visits.append(("l", hk, ngr_l, sizeof(i.dtype)))
                 stats.mem_instructions += tot
             elif op is Op.LD or op is Op.ST or op is Op.TEX:
-                rows = self._memory_access(regs, i, pc, shared, active, afull, nb)
-                visits.append(("m", hk, ngr_l, rows))
+                kind, group, addrs, amask = self._memory_access(
+                    regs, i, pc, shared, active, afull
+                )
+                visit = [kind, hk, ngr_l, None]
+                visits.append(visit)
+                pending.setdefault(group, []).append((visit, addrs, amask))
+                pending_lanes += lanes
+                if pending_lanes >= _PENDING_LANES:
+                    self._resolve(pending, nb)
+                    pending_lanes = 0
                 stats.mem_instructions += tot
             elif op is Op.SETP:
                 a = self._read(regs, i.srcs[0], pc, 0)
@@ -703,19 +745,24 @@ class GridRunner:
             if v:
                 hist[hkey[p2]] += v
         stats.barriers += barriers
+        self._resolve(pending, nb)
+        recorded = time.perf_counter()
         self._replay(visits, nb, cus)
+        self.functional_s += recorded - start
+        self.replay_s += time.perf_counter() - recorded
 
     def _memory_access(
-        self, regs, i: Instr, pc: int, shared, active, afull, nb: int
-    ) -> dict:
-        """Perform the functional memory effect; record the cost rows.
+        self, regs, i: Instr, pc: int, shared, active, afull
+    ) -> tuple:
+        """Perform the functional memory effect of one instruction.
 
-        Returns ``{block: [(kind, addr_array, size), ...]}`` — the
-        per-warp-row access descriptors the batch-end replay feeds to
-        the memory system in per-block order.
+        Returns ``(kind, group, addrs, mask)`` for :meth:`_resolve`: the
+        visit kind (``"s"`` shared, ``"g"``/``"G"`` global load/store,
+        ``"t"`` texture, ``"k"`` constant), the batching group of its
+        geometry rule, the active lanes' addresses in lane order and the
+        lane mask (None when every lane is active).
         """
         size = sizeof(i.dtype)
-        WW = self.WW
         lanes = self._lanes
         if i.op is Op.TEX:
             idx = self._read(regs, i.srcs[0], pc, 0)
@@ -728,330 +775,191 @@ class GridRunner:
             if np.ndim(a) == 0:
                 a = np.full(lanes, a)
             addr_full = a.astype(np.int64)
-
-        # per hardware-warp cost rows (coalescing is a per-warp
-        # phenomenon); rows of a block are contiguous and in-order
-        nwpb = self.ngroups_full
+        # fully-active visits skip the mask compaction entirely — the
+        # compacted address list IS the full lane vector ("full" frames
+        # only have every lane active when the block has no padding)
+        afull = afull and self._m0full
+        addrs = addr_full if afull else addr_full[active]
         space = i.space
         if i.op is Op.TEX:
             kind = "t"
         elif space is AddrSpace.SHARED:
             kind = "s"
         elif space is AddrSpace.CONST:
-            kind = "c"
+            kind = "k"
         else:
             kind = "G" if i.op is Op.ST else "g"
-        # fully-active visits skip the mask compaction entirely — the
-        # compacted address list IS the full lane vector ("full" frames
-        # only have every lane active when the block has no padding)
-        afull = afull and self._m0full
-        addrs = addr_full if afull else addr_full[active]
-        rowdata: dict[int, list] = {}
-        handled = False
-        if kind in ("g", "G") and self.spec.architecture != "gt200":
-            # line-rule devices: resolve every warp row's distinct cache
-            # lines in one vectorized pass instead of one np.unique per
-            # row (bit-identical to coalesce(): sorted distinct lines)
-            line = self.spec.line_bytes
-            if line & (line - 1) == 0:
-                # power-of-two line: arithmetic shift is floor division
-                sh = line.bit_length() - 1
-                first = addr_full >> sh
-                last = (addr_full + (size - 1)) >> sh
-            else:  # pragma: no cover - no such device spec today
-                first = addr_full // line
-                last = (addr_full + (size - 1)) // line
-            straddle_free = (
-                np.array_equal(first, last)
-                if afull
-                else np.array_equal(first[active], last[active])
-            )
-            if straddle_free:
-                if afull:
-                    srt = np.sort(first.reshape(-1, WW), axis=1)
-                    newv = np.empty(srt.shape, dtype=bool)
-                    newv[:, 0] = True
-                    newv[:, 1:] = srt[:, 1:] != srt[:, :-1]
-                    keep = newv
-                else:
-                    sent = np.int64(np.iinfo(np.int64).max)
-                    fm = np.where(active, first, sent).reshape(-1, WW)
-                    srt = np.sort(fm, axis=1)
-                    newv = np.empty(srt.shape, dtype=bool)
-                    newv[:, 0] = True
-                    newv[:, 1:] = srt[:, 1:] != srt[:, :-1]
-                    keep = newv & (srt != sent)
-                pk = "P" if kind == "G" else "p"
-                # rows with active lanes are exactly the rows with kept
-                # lines; one flat extraction, then per-row list slices
-                cnt = keep.sum(axis=1).tolist()
-                flat = (srt[keep] * line).tolist()
-                pos = 0
-                for r, c in enumerate(cnt):
-                    if c:
-                        rowdata.setdefault(r // nwpb, []).append(
-                            (pk, flat[pos : pos + c], c * line)
-                        )
-                    pos += c
-                handled = True
-        elif (
-            kind in ("g", "G")
-            and self.spec.architecture == "gt200"
-            and WW % 16 == 0
-        ):
-            # GT200 half-warp rule, vectorized across every warp row of
-            # the visit (bit-identical to segments_gt200 for the common
-            # shape: fully-active rows, no access straddling a 128B
-            # segment).  Each half-warp chunks the *compacted* address
-            # list; sorting it groups same-segment addresses into runs,
-            # whose min/max drive the 128->64->32 shrink rule.
-            if afull:
-                cnt = np.full(addrs.size // WW, WW, dtype=np.int64)
-                rows_uniform = True
-            else:
-                cnt = active.reshape(-1, WW).sum(axis=1)
-                rows_uniform = bool(((cnt == 0) | (cnt == WW)).all())
-            if rows_uniform:
-                size_eff = size if size > 1 else 1
-                half = addrs.reshape(-1, 16)
-                srt = np.sort(half, axis=1)
-                f = srt >> 7
-                if np.array_equal(f, (srt + (size_eff - 1)) >> 7):
-                    newv = np.empty(f.shape, dtype=bool)
-                    newv[:, 0] = True
-                    newv[:, 1:] = f[:, 1:] != f[:, :-1]
-                    lastv = np.empty(f.shape, dtype=bool)
-                    lastv[:, -1] = True
-                    lastv[:, :-1] = newv[:, 1:]
-                    firsts = srt[newv]
-                    lasts = srt[lastv] + size_eff
-                    fit64 = (firsts >> 6) << 6
-                    ok64 = lasts <= fit64 + 64
-                    fit32 = (firsts >> 5) << 5
-                    ok32 = ok64 & (lasts <= fit32 + 32)
-                    starts = np.where(
-                        ok32, fit32, np.where(ok64, fit64, (firsts >> 7) << 7)
-                    ).tolist()
-                    widths = np.where(ok32, 32, np.where(ok64, 64, 128))
-                    segrow = newv.sum(axis=1).reshape(-1, WW // 16).sum(axis=1)
-                    if widths.size:
-                        bounds = np.cumsum(segrow)
-                        traffic = np.add.reduceat(
-                            widths, np.r_[0, bounds[:-1]]
-                        ).tolist()
-                    else:
-                        traffic = []
-                    nsegs = segrow.tolist()
-                    pk = "P" if kind == "G" else "p"
-                    pos = 0
-                    ar = 0
-                    for r, c in enumerate(cnt.tolist()):
-                        if c:
-                            ns = nsegs[ar]
-                            rowdata.setdefault(r // nwpb, []).append(
-                                (pk, starts[pos : pos + ns], traffic[ar])
-                            )
-                            pos += ns
-                            ar += 1
-                    handled = True
-        elif kind == "s":
-            # bank-replay factors are a pure function of the address
-            # pattern (no cache state), so resolve them here; blocks of
-            # a batch almost always address shared memory identically,
-            # so the per-block rows collapse onto block 0's patterns
-            if afull:
-                cnt = [WW] * (addrs.size // WW)
-            else:
-                cnt = active.reshape(-1, WW).sum(axis=1).tolist()
-            if self.spec.local_mem_is_plain_memory:
-                for r, c in enumerate(cnt):
-                    if c:
-                        rowdata.setdefault(r // nwpb, []).append(("S", 1, 0))
-            else:
-                memsys = self.memsys
-                invariant = False
-                if nb > 1:
-                    am = addr_full.reshape(nb, -1)
-                    mm = active.reshape(nb, -1)
-                    invariant = bool(
-                        np.array_equal(
-                            am, np.broadcast_to(am[0], am.shape)
-                        )
-                        and np.array_equal(
-                            mm, np.broadcast_to(mm[0], mm.shape)
-                        )
-                    )
-                if invariant:
-                    reps = [None] * nwpb
-                    pos = 0
-                    for r in range(nwpb):
-                        c = cnt[r]
-                        if c:
-                            reps[r] = memsys.shared_replay_factor(
-                                addrs[pos : pos + c]
-                            )
-                            pos += c
-                    for r, c in enumerate(cnt):
-                        if c:
-                            rowdata.setdefault(r // nwpb, []).append(
-                                ("S", reps[r % nwpb], 0)
-                            )
-                else:
-                    pos = 0
-                    for r, c in enumerate(cnt):
-                        if c:
-                            rowdata.setdefault(r // nwpb, []).append(
-                                (
-                                    "S",
-                                    memsys.shared_replay_factor(
-                                        addrs[pos : pos + c]
-                                    ),
-                                    0,
-                                )
-                            )
-                            pos += c
-            handled = True
-        if not handled:
-            # compacted lane addresses are row-major, so each warp row
-            # owns a contiguous slice of ``addrs``
-            if afull:
-                cnt = [WW] * (addrs.size // WW)
-            else:
-                cnt = active.reshape(-1, WW).sum(axis=1).tolist()
-            pos = 0
-            for r, c in enumerate(cnt):
-                if c:
-                    rowdata.setdefault(r // nwpb, []).append(
-                        (kind, addrs[pos : pos + c], size)
-                    )
-                pos += c
-
-        if i.op is Op.TEX:
-            val = self.mem.load(addrs, i.dtype)
-            dt = np_dtype(i.dtype)
-            arr = regs.get(i.dst.idx)
-            if arr is None:
-                arr = regs[i.dst.idx] = np.zeros(lanes, dtype=dt)
-            if afull:
-                arr[:] = val
-            else:
-                arr[active] = val
-            return rowdata
+        # loads and stores share the coalescing rule; bank conflicts and
+        # constant bases do not depend on the access size
+        group = ("g" if kind == "G" else kind, size if kind in "gGt" else 0)
+        rec = (kind, group, addrs, None if afull else active)
 
         if space is AddrSpace.SHARED:
             blk = self._blk if afull else self._blk[active]
-            if i.op is Op.ST:
-                val = self._read(regs, i.srcs[1], pc, 1)
-                if np.ndim(val) == 0:
-                    val = np.full(lanes, val, dtype=np_dtype(i.dtype))
-                shared.store(addrs, blk, val if afull else val[active], i.dtype)
-            else:
-                out = shared.load(addrs, blk, i.dtype)
-                dt = np_dtype(i.dtype)
-                arr = regs.get(i.dst.idx)
-                if arr is None:
-                    arr = regs[i.dst.idx] = np.zeros(lanes, dtype=dt)
-                if afull:
-                    arr[:] = out
-                else:
-                    arr[active] = out
-            return rowdata
-
         if i.op is Op.ST:
             val = self._read(regs, i.srcs[1], pc, 1)
             if np.ndim(val) == 0:
                 val = np.full(lanes, val, dtype=np_dtype(i.dtype))
-            self.mem.store(addrs, val if afull else val[active], i.dtype)
+            if not afull:
+                val = val[active]
+            if space is AddrSpace.SHARED:
+                shared.store(addrs, blk, val, i.dtype)
+            else:
+                self.mem.store(addrs, val, i.dtype)
+            return rec
+        if space is AddrSpace.SHARED:
+            out = shared.load(addrs, blk, i.dtype)
         else:
             out = self.mem.load(addrs, i.dtype)
-            dt = np_dtype(i.dtype)
-            arr = regs.get(i.dst.idx)
-            if arr is None:
-                arr = regs[i.dst.idx] = np.zeros(lanes, dtype=dt)
-            if afull:
-                arr[:] = out
+        arr = regs.get(i.dst.idx)
+        if arr is None:
+            arr = regs[i.dst.idx] = np.zeros(lanes, dtype=np_dtype(i.dtype))
+        if afull:
+            arr[:] = out
+        else:
+            arr[active] = out
+        return rec
+
+    def _resolve(self, pending: dict, nb: int) -> None:
+        """Resolve the geometry of the pending memory visits.
+
+        Geometry depends on addresses only, never on cache state, so
+        every visit of one group (kind and access size) is resolved at
+        once, over all of its warp rows (:mod:`repro.arch.rows`).  Each
+        visit's data becomes, for a shared access, each block's whole
+        cost, and otherwise, per block, the geometry of its warp rows in
+        row order.
+        """
+        spec = self.spec
+        WW = self.WW
+        nwpb = self.ngroups_full
+        for (kind, size), group in pending.items():
+            addrs = np.concatenate([g[1] for g in group])
+            if all(g[2] is None for g in group):
+                active = None
             else:
-                arr[active] = out
-        return rowdata
+                active = np.concatenate(
+                    [
+                        np.ones(self._lanes, dtype=bool) if m is None else m
+                        for _, _, m in group
+                    ]
+                )
+            rows, cnt, index = compact_rows(addrs, active, WW)
+            cells = len(group) * nb  # (visit, block) pairs, in order
+            if kind == "s":
+                cost = np.zeros(cells * nwpb)
+                if cnt.size:
+                    cost[index] = self.memsys.shared_costs(
+                        bank_conflict_rows(spec, rows)
+                    )
+                # a block's rows sum in row order: cumsum adds left to right
+                per = np.cumsum(cost.reshape(cells, nwpb), axis=1)[:, -1]
+                for (visit, _, _), c in zip(group, per.reshape(-1, nb)):
+                    visit[3] = c
+                continue
+            if not cnt.size:
+                geo = []
+            elif kind == "t":
+                geo = line_rows(rows, size, 32)
+            elif kind == "k":
+                geo = const_rows(rows)
+            else:
+                geo = coalesce_rows(spec, rows, cnt, size)
+            cut = np.searchsorted(index, np.arange(cells + 1) * nwpb).tolist()
+            c = 0
+            for visit, _, _ in group:
+                visit[3] = [geo[cut[j] : cut[j + 1]] for j in range(c, c + nb)]
+                c += nb
+        pending.clear()
 
     def _replay(self, visits: list, nb: int, cus: list) -> None:
         """Charge the recorded visits per block, in linear block order.
 
-        This reproduces exactly what per-block execution would have
-        done to the (order-sensitive) memory-system state and to the
-        float accumulation order of the cycle accounting: block ``j``
-        replays all of its visits — memory accesses included — before
-        block ``j + 1`` touches anything.
+        Only the cache walk is stateful: block ``j`` walks all of its
+        global, texture, constant and spill accesses through the memory
+        system before block ``j + 1`` touches anything, exactly as
+        per-block execution would.  The cycle folds then run as
+        sequential numpy folds over the visits (``np.cumsum`` adds
+        strictly left to right), giving every block the float sums, and
+        ``cyc_hist`` the summation order, of per-block execution.
         """
-        t = self.spec.timing
-        memsys = self.memsys
         stats = self.stats
-        cyc = stats.cyc_hist
-        alu = t.alu_cycles
-        for j in range(nb):
-            cu = cus[j]
-            comp = 0.0
-            memc = 0.0
-            for kind, key, ngr_l, data in visits:
-                ngr = ngr_l[j]
-                if not ngr:
-                    continue
-                if kind == "c":
-                    c0 = comp + memc
-                    comp += data * ngr
-                    cyc[key] += comp + memc - c0
-                elif kind == "m":
+        if not visits:
+            stats.blocks += nb
+            return
+        memsys = self.memsys
+        alu = self.spec.timing.alu_cycles
+        ngr = np.array([v[2] for v in visits], dtype=np.int64)
+        rate = [0.0] * len(visits)
+        mem = np.zeros(ngr.shape)
+        paired = []  # "C" visits: (row, per-block cycles)
+        direct = []  # bra/bar: the cycles charged are the increment itself
+        walk = []  # the stateful visits, in visit order
+        keys: dict = {}
+        for k, (kind, key, ngr_l, data) in enumerate(visits):
+            keys.setdefault(key, []).append(k)
+            if kind == "c":
+                rate[k] = data
+            elif kind == "s":
+                mem[k] = data
+            elif kind == "C":
+                paired.append((k, data))
+            elif kind == "bra" or kind == "bar":
+                rate[k] = alu
+                direct.append(k)
+            else:
+                walk.append((k, kind, data, ngr_l))
+
+        at_k, at_j, costs = [], [], []
+        access_global = memsys.access_global
+        for j, cu in enumerate(cus):
+            for k, kind, data, ngr_l in walk:
+                if kind == "l":
+                    if not ngr_l[j]:
+                        continue
+                    cost = memsys.access_local(cu, data, data) * ngr_l[j]
+                else:
+                    rl = data[j]
+                    if not rl:
+                        continue
                     cost = 0.0
-                    rl = data.get(j)
-                    if rl is not None:
-                        for kc, aa, size in rl:
-                            if kc == "p":
-                                cost += memsys.access_global_segs(
-                                    cu, aa, size, False
-                                )
-                            elif kc == "P":
-                                cost += memsys.access_global_segs(
-                                    cu, aa, size, True
-                                )
-                            elif kc == "g":
-                                ss = np.full(aa.shape, size, dtype=np.int64)
-                                cost += memsys.access_global(cu, aa, ss, False)
-                            elif kc == "G":
-                                ss = np.full(aa.shape, size, dtype=np.int64)
-                                cost += memsys.access_global(cu, aa, ss, True)
-                            elif kc == "S":
-                                # pre-resolved shared access: aa is the
-                                # bank-replay factor (see record side)
-                                memsys.shared_accesses += 1
-                                memsys.shared_replays += aa - 1
-                                cost += t.shared_latency + (aa - 1) * 4.0
-                            elif kc == "s":
-                                cost += memsys.access_shared(cu, aa)
-                            elif kc == "c":
-                                cost += memsys.access_const(cu, aa)
-                            else:
-                                ss = np.full(aa.shape, size, dtype=np.int64)
-                                cost += memsys.access_texture(cu, aa, ss)
-                    c0 = comp + memc
-                    memc += cost
-                    cyc[key] += comp + memc - c0
-                elif kind == "C":
-                    c0 = comp + memc
-                    comp += data[j]
-                    cyc[key] += comp + memc - c0
-                elif kind == "l":
-                    c0 = comp + memc
-                    memc += memsys.access_local(cu, data, data) * ngr
-                    cyc[key] += comp + memc - c0
-                elif kind == "bra":
-                    comp += alu * ngr
-                    cyc["bra"] += alu * ngr
-                else:  # "bar"
-                    comp += alu * ngr
-                    cyc["bar"] += alu * ngr
-            stats.comp_cycles[cu] += comp
-            stats.mem_cycles[cu] += memc
-            stats.blocks += 1
+                    if kind == "g":
+                        for segs, traffic in rl:
+                            cost += access_global(cu, segs, traffic, False)
+                    elif kind == "G":
+                        for segs, traffic in rl:
+                            cost += access_global(cu, segs, traffic, True)
+                    elif kind == "t":
+                        for lines in rl:
+                            cost += memsys.access_texture(cu, lines)
+                    else:
+                        for bases in rl:
+                            cost += memsys.access_const(cu, bases)
+                at_k.append(k)
+                at_j.append(j)
+                costs.append(cost)
+        mem[at_k, at_j] = costs
+
+        comp = np.asarray(rate)[:, None] * ngr
+        for k, data in paired:
+            comp[k] = data
+        charged = comp[direct]
+        np.cumsum(comp, axis=0, out=comp)
+        np.cumsum(mem, axis=0, out=mem)
+        total = comp + mem
+        delta = np.empty_like(total)
+        delta[0] = total[0]
+        np.subtract(total[1:], total[:-1], out=delta[1:])
+        delta[direct] = charged
+        cyc = stats.cyc_hist
+        for key, ks in keys.items():
+            seq = np.concatenate(([cyc.get(key, 0.0)], delta[ks].T.ravel()))
+            cyc[key] = float(np.cumsum(seq)[-1])
+        cc, mc = stats.comp_cycles, stats.mem_cycles
+        for cu, c, m in zip(cus, comp[-1].tolist(), mem[-1].tolist()):
+            cc[cu] += c
+            mc[cu] += m
+        stats.blocks += nb
 
     def run(self) -> LaunchStats:
         gx, gy, gz = self.grid
@@ -1071,6 +979,8 @@ class GridRunner:
             chunk = bidxs[lo : lo + batch]
             cus = [(lo + j) % n_cu for j in range(len(chunk))]
             self.run_batch(chunk, cus)
+        metrics.counter("sim.functional.seconds").inc(self.functional_s)
+        metrics.counter("sim.replay.seconds").inc(self.replay_s)
         return self.stats
 
 

@@ -1,9 +1,11 @@
 """The memory system: per-CU caches + DRAM cost accounting.
 
 For every executed warp memory instruction the interpreter calls one of
-the ``access_*`` methods with the active lanes' byte addresses.  The
-method updates cache state, returns the instruction's latency in core
-cycles, and accrues DRAM traffic.  Costs follow a simple serialization
+the ``access_*`` methods with the warp's geometry already resolved from
+its addresses (coalesced segments, texture lines, constant-line bases;
+see :mod:`repro.arch.rows`).  The method walks that geometry through
+the cache state, returns the instruction's latency in core cycles, and
+accrues DRAM traffic.  Costs follow a simple serialization
 model: the slowest miss level sets the base latency and every extra
 transaction adds ``tx_cycles``.
 """
@@ -11,9 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..arch.banks import bank_conflicts
 from ..arch.caches import LRUCache, null_cache
-from ..arch.coalesce import coalesce
 from ..arch.specs import DeviceSpec
 
 __all__ = ["MemorySystem", "AccessCost"]
@@ -50,19 +50,6 @@ class MemorySystem:
         self.shared_accesses = 0
         self.shared_replays = 0
         self.spill_bytes = 0.0
-        # address-pattern memos: kernels replay the same few warp access
-        # patterns thousands of times, and the pure geometry of a
-        # pattern (coalesced segments, touched lines, bank replays) is
-        # independent of cache state — memoize it by the address bytes
-        self._pat_global: dict = {}
-        self._pat_tex: dict = {}
-        self._pat_const: dict = {}
-        self._pat_shared: dict = {}
-        # memo lookups that found / missed their pattern, per table
-        self.pat_global_hits = self.pat_global_misses = 0
-        self.pat_tex_hits = self.pat_tex_misses = 0
-        self.pat_const_hits = self.pat_const_misses = 0
-        self.pat_shared_hits = self.pat_shared_misses = 0
         # launch-memo journal of individual dram_bytes adds, or None.
         # dram_bytes is a float fold whose value is summation-order
         # sensitive; memo replay re-applies this exact add sequence.
@@ -74,21 +61,6 @@ class MemorySystem:
     def end_dram_log(self) -> list:
         log, self._dram_log = self._dram_log, None
         return log
-
-    _PAT_CAP = 1 << 15  # per-table entry cap (memos stop growing past it)
-
-    @staticmethod
-    def _pat_put(table: dict, key, value) -> None:
-        if len(table) < MemorySystem._PAT_CAP:
-            table[key] = value
-
-    def pattern_counts(self) -> dict:
-        """Cumulative pattern-memo counters, ``{table.hits|misses: n}``."""
-        return {
-            f"{table}.{kind}": getattr(self, f"pat_{table}_{kind}")
-            for table in ("global", "tex", "const", "shared")
-            for kind in ("hits", "misses")
-        }
 
     def cache_groups(self) -> dict:
         """Named cache banks for per-launch profiling.
@@ -147,33 +119,17 @@ class MemorySystem:
 
     def _count_regions(self, bases) -> None:
         for b in bases:
-            self.region_counts[int(b) >> 8] += 1
+            self.region_counts[b >> 8] += 1
 
     # ------------------------------------------------------------------
     def access_global(
-        self, cu: int, addrs: np.ndarray, sizes: np.ndarray, is_store: bool
-    ) -> float:
-        """Plain global-space access (the ld.global/st.global path)."""
-        key = (addrs.dtype.char, addrs.tobytes(), sizes.tobytes())
-        hit = self._pat_global.get(key)
-        if hit is not None:
-            self.pat_global_hits += 1
-        else:
-            self.pat_global_misses += 1
-            segs, traffic = coalesce(self.spec, addrs, sizes)
-            hit = (segs.tolist(), traffic)
-            self._pat_put(self._pat_global, key, hit)
-        seg_list, traffic = hit
-        return self.access_global_segs(cu, seg_list, traffic, is_store)
-
-    def access_global_segs(
         self, cu: int, seg_list: list, traffic: int, is_store: bool
     ) -> float:
-        """Global access with the coalescing already resolved.
+        """One warp's ld.global/st.global, given its coalesced segments.
 
-        The interpreter pre-computes line segments for whole visits at
-        once (vectorized over every warp of a block batch); this entry
-        point applies the cache/DRAM state walk to one warp's segments.
+        ``seg_list``/``traffic`` are what
+        :func:`~repro.arch.coalesce.coalesce` resolves the warp's
+        addresses into; this walks them through the caches and DRAM.
         """
         t = self.spec.timing
         nseg = max(len(seg_list), 1)
@@ -186,7 +142,7 @@ class MemorySystem:
                 self._dram_log.append((cu, traffic))
             if self.spec.has_global_cache:
                 for b in seg_list:
-                    self.l2.access(int(b))
+                    self.l2.access(b)
             else:
                 self._count_regions(seg_list)
             return t.tx_cycles * nseg
@@ -201,7 +157,6 @@ class MemorySystem:
         worst = t.l1_hit
         per_seg = traffic / nseg if nseg else 0.0
         for b in seg_list:
-            b = int(b)
             if self.l1[cu].access(b):
                 continue
             if self.l2.access(b):
@@ -214,55 +169,39 @@ class MemorySystem:
                 self.region_counts[b >> 8] += 1
         return worst + t.tx_cycles * (nseg - 1)
 
-    def access_texture(self, cu: int, addrs: np.ndarray, sizes: np.ndarray) -> float:
-        """Texture-path read: small per-CU cache over global data.
+    def access_texture(self, cu: int, line_list: list) -> float:
+        """Texture-path read of one warp's 32-byte lines.
 
-        This is what makes the irregular gathers of MD/SPMV look regular
-        (paper §IV-B.1) — reuse is captured close to the CU even on
-        GT200, which has no other global-read cache.
+        ``line_list`` is :func:`~repro.arch.caches.texture_lines` of the
+        warp's addresses.  A small per-CU cache over global data: this is
+        what makes the irregular gathers of MD/SPMV look regular (paper
+        §IV-B.1) — reuse is captured close to the CU even on GT200,
+        which has no other global-read cache.
         """
         t = self.spec.timing
         line = 32
-        key = (addrs.dtype.char, addrs.tobytes(), sizes.tobytes())
-        line_list = self._pat_tex.get(key)
-        if line_list is not None:
-            self.pat_tex_hits += 1
-        else:
-            self.pat_tex_misses += 1
-            first = addrs // line
-            last = (addrs + np.maximum(sizes, 1) - 1) // line
-            line_list = (np.union1d(first, last) * line).tolist()
-            self._pat_put(self._pat_tex, key, line_list)
         nseg = max(len(line_list), 1)
         worst = t.tex_hit
         for b in line_list:
-            if not self.tex[cu].access(int(b)):
+            if not self.tex[cu].access(b):
                 worst = max(worst, t.dram_latency)
                 self.dram_bytes[cu] += line
                 if self._dram_log is not None:
                     self._dram_log.append((cu, line))
-                self.region_counts[int(b) >> 8] += 1
+                self.region_counts[b >> 8] += 1
         # the texture pipeline is built for many small scattered
         # fetches: extra segments are much cheaper than on the L1 path
         return worst + t.tx_cycles * 0.2 * (nseg - 1)
 
-    def access_const(self, cu: int, addrs: np.ndarray) -> float:
-        """Constant-cache read: broadcast when all lanes agree.
+    def access_const(self, cu: int, bases: list) -> float:
+        """Constant-cache read of one warp's line bases.
 
-        Distinct addresses serialize — the defining behaviour of the
-        constant path on every CUDA-class device.
+        ``bases`` is :func:`~repro.arch.caches.const_bases` of the
+        warp's addresses: a broadcast when all lanes agree, and distinct
+        addresses serialize — the defining behaviour of the constant
+        path on every CUDA-class device.
         """
         t = self.spec.timing
-        key = (addrs.dtype.char, addrs.tobytes())
-        bases = self._pat_const.get(key)
-        if bases is not None:
-            self.pat_const_hits += 1
-        else:
-            self.pat_const_misses += 1
-            # one entry per *distinct address* in sorted order (two
-            # addresses in the same 64B line still serialize)
-            bases = [(int(a) // 64) * 64 for a in np.unique(addrs).tolist()]
-            self._pat_put(self._pat_const, key, bases)
         cost = 0.0
         for base in bases:
             if self.const[cu].access(base):
@@ -275,29 +214,17 @@ class MemorySystem:
                 self.region_counts[base >> 8] += 1
         return cost
 
-    def shared_replay_factor(self, addrs: np.ndarray) -> int:
-        """Memoized :func:`~repro.arch.banks.bank_conflicts`."""
-        key = (addrs.dtype.char, addrs.tobytes())
-        replays = self._pat_shared.get(key)
-        if replays is not None:
-            self.pat_shared_hits += 1
-        else:
-            self.pat_shared_misses += 1
-            replays = bank_conflicts(self.spec, addrs)
-            self._pat_put(self._pat_shared, key, replays)
-        return replays
+    def shared_costs(self, replays: np.ndarray) -> np.ndarray:
+        """Cost of each banked shared-memory access, by replay factor.
 
-    def access_shared(self, cu: int, addrs: np.ndarray) -> float:
-        """Banked shared/local-memory access."""
-        t = self.spec.timing
-        self.shared_accesses += 1
-        if self.spec.local_mem_is_plain_memory:
-            # CPU device: "local" memory is ordinary cached memory — the
-            # staging copy is pure overhead (paper §V, TranP on Intel920)
-            return t.shared_latency
-        replays = self.shared_replay_factor(addrs)
-        self.shared_replays += replays - 1
-        return t.shared_latency + (replays - 1) * 4.0
+        ``replays`` holds one :func:`~repro.arch.banks.bank_conflicts`
+        factor per warp access (always 1 on a CPU, where "local" memory
+        is ordinary cached memory and the staging copy is pure
+        overhead — paper §V, TranP on Intel920).  Counts the accesses.
+        """
+        self.shared_accesses += replays.size
+        self.shared_replays += int(replays.sum()) - replays.size
+        return self.spec.timing.shared_latency + (replays - 1) * 4.0
 
     def access_local(self, cu: int, nbytes_per_thread: int, width: int) -> float:
         """Register-spill traffic (``ld.local``/``st.local``).

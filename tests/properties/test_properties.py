@@ -260,7 +260,7 @@ def test_scan_matches_cumsum_for_any_seed(seed):
 import contextlib
 import os
 
-from repro.arch import CELLBE
+from repro.arch import CELLBE, HD5870
 
 
 @contextlib.contextmanager
@@ -312,9 +312,17 @@ def _launch_series(spec, ptx, data, repeats):
     )
 
 
+_COLD_PATH_DEVICES = [
+    (GTX480, compile_cuda, CUDA),
+    (CELLBE, compile_opencl, OPENCL),
+    (GTX280, compile_cuda, CUDA),
+    (HD5870, compile_opencl, OPENCL),
+]
+
+
 @pytest.mark.parametrize(
     "spec,comp,dialect",
-    [(GTX480, compile_cuda, CUDA), (CELLBE, compile_opencl, OPENCL)],
+    _COLD_PATH_DEVICES,
     ids=lambda v: getattr(v, "name", None) or "",
 )
 @settings(
@@ -351,3 +359,49 @@ def test_batched_and_memoized_execution_bit_identical(
 
     assert batched == per_block
     assert memoized == per_block
+
+
+@pytest.mark.parametrize(
+    "spec,comp,dialect",
+    _COLD_PATH_DEVICES,
+    ids=lambda v: getattr(v, "name", None) or "",
+)
+@settings(
+    max_examples=8,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    stride=st.sampled_from([1, 2, 3, 16, 17, 32]),
+    cut=st.integers(1, 48),
+    data=st.lists(st.integers(-1000, 1000), min_size=240, max_size=240),
+)
+def test_batched_shared_memory_bit_identical(
+    spec, comp, dialect, stride, cut, data
+):
+    """Batched == per-block through shared memory, a barrier and a
+    lane-dependent predicate.
+
+    The strided shared read makes bank conflicts; ``t < cut`` leaves
+    warp rows partially active, so the row compaction and the GT200
+    half-warp split of a partial row are exercised.
+    """
+    k = KernelBuilder("bs", dialect)
+    a = k.buffer("a", Scalar.S32)
+    o = k.buffer("o", Scalar.S32)
+    s = k.shared("s", Scalar.S32, 48)
+    t = k.let("t", k.tid.x, Scalar.S32)
+    g = k.let("g", k.global_id(0), Scalar.S32)
+    k.store(s, t, a[g])
+    k.barrier()
+    with k.if_(t < cut):
+        k.store(o, g, s[(t * stride) % 48] + a[(g * stride) % 240])
+    ptx = comp(k.finish(), max_regs=63)
+    A = np.array(data, dtype=np.int32)
+
+    with _sim_env(batch=1, memo=False):
+        per_block = _launch_series(spec, ptx, A, repeats=2)
+    with _sim_env(batch=None, memo=False):
+        batched = _launch_series(spec, ptx, A, repeats=2)
+    assert batched == per_block

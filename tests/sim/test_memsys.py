@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.arch import CELLBE, GTX280, GTX480, INTEL920
+from repro.arch import GTX280, GTX480, INTEL920, bank_conflicts, coalesce
+from repro.arch.caches import const_bases, texture_lines
 from repro.sim.memsys import MemorySystem
 
 
@@ -13,53 +14,64 @@ def _sizes(n, s=4):
     return np.full(n, s, dtype=np.int64)
 
 
+def _global(ms, cu, addrs, sizes, is_store):
+    """One warp's global access, coalesced by the scalar rule."""
+    segs, traffic = coalesce(ms.spec, addrs, sizes)
+    return ms.access_global(cu, segs.tolist(), traffic, is_store)
+
+
+def _shared(ms, addrs):
+    """One warp's shared access, bank conflicts by the scalar rule."""
+    return ms.shared_costs(np.asarray([bank_conflicts(ms.spec, addrs)]))[0]
+
+
 class TestGlobalPath:
     def test_gt200_load_costs_full_latency(self):
         ms = MemorySystem(GTX280)
         a = _addrs(*(i * 4 for i in range(32)))
-        c = ms.access_global(0, a, _sizes(32), is_store=False)
+        c = _global(ms, 0, a, _sizes(32), is_store=False)
         assert c >= GTX280.timing.dram_latency
 
     def test_gt200_never_caches(self):
         ms = MemorySystem(GTX280)
         a = _addrs(*(i * 4 for i in range(32)))
-        c1 = ms.access_global(0, a, _sizes(32), is_store=False)
-        c2 = ms.access_global(0, a, _sizes(32), is_store=False)
+        c1 = _global(ms, 0, a, _sizes(32), is_store=False)
+        c2 = _global(ms, 0, a, _sizes(32), is_store=False)
         assert c1 == c2  # repeat access: same cost, no cache
 
     def test_fermi_second_access_hits_l1(self):
         ms = MemorySystem(GTX480)
         a = _addrs(*(i * 4 for i in range(32)))
-        miss = ms.access_global(0, a, _sizes(32), is_store=False)
-        hit = ms.access_global(0, a, _sizes(32), is_store=False)
+        miss = _global(ms, 0, a, _sizes(32), is_store=False)
+        hit = _global(ms, 0, a, _sizes(32), is_store=False)
         assert hit < miss
         assert hit == GTX480.timing.l1_hit
 
     def test_fermi_l2_shared_across_cus(self):
         ms = MemorySystem(GTX480)
         a = _addrs(*(i * 4 for i in range(32)))
-        ms.access_global(0, a, _sizes(32), is_store=False)  # CU0 fills L2
-        cu1 = ms.access_global(1, a, _sizes(32), is_store=False)
+        _global(ms, 0, a, _sizes(32), is_store=False)  # CU0 fills L2
+        cu1 = _global(ms, 1, a, _sizes(32), is_store=False)
         assert cu1 == GTX480.timing.l2_hit + 0  # L1 miss, L2 hit
 
     def test_store_cheaper_than_load(self):
         ms = MemorySystem(GTX280)
         a = _addrs(*(i * 4 for i in range(32)))
-        st = ms.access_global(0, a, _sizes(32), is_store=True)
-        ld = ms.access_global(0, a, _sizes(32), is_store=False)
+        st = _global(ms, 0, a, _sizes(32), is_store=True)
+        ld = _global(ms, 0, a, _sizes(32), is_store=False)
         assert st < ld
 
     def test_traffic_accounted_per_cu(self):
         ms = MemorySystem(GTX280)
         a = _addrs(*(i * 4 for i in range(32)))
-        ms.access_global(3, a, _sizes(32), is_store=False)
+        _global(ms, 3, a, _sizes(32), is_store=False)
         assert ms.dram_bytes[3] > 0
         assert ms.dram_bytes[0] == 0
 
     def test_region_counts_track_dram_hits(self):
         ms = MemorySystem(GTX280)
         a = _addrs(0, 4, 8)
-        ms.access_global(0, a, _sizes(3), is_store=False)
+        _global(ms, 0, a, _sizes(3), is_store=False)
         assert sum(ms.region_counts.values()) >= 1
 
 
@@ -67,18 +79,18 @@ class TestConstPath:
     def test_broadcast_single_address_cheap_after_warmup(self):
         ms = MemorySystem(GTX280)
         a = np.zeros(32, dtype=np.int64)
-        ms.access_const(0, a)  # compulsory miss
-        hit = ms.access_const(0, a)
+        ms.access_const(0, const_bases(a))  # compulsory miss
+        hit = ms.access_const(0, const_bases(a))
         assert hit == GTX280.timing.const_hit
 
     def test_distinct_addresses_serialize(self):
         ms = MemorySystem(GTX280)
         same = np.zeros(32, dtype=np.int64)
         spread = np.arange(32, dtype=np.int64) * 4
-        ms.access_const(0, same)
-        ms.access_const(0, spread)  # warm
-        t_same = ms.access_const(0, same)
-        t_spread = ms.access_const(0, spread)
+        ms.access_const(0, const_bases(same))
+        ms.access_const(0, const_bases(spread))  # warm
+        t_same = ms.access_const(0, const_bases(same))
+        t_spread = ms.access_const(0, const_bases(spread))
         assert t_spread > t_same  # one broadcast vs. serialized words
 
 
@@ -86,36 +98,36 @@ class TestTexturePath:
     def test_reuse_hits_cache(self):
         ms = MemorySystem(GTX280)
         a = _addrs(*(i * 4 for i in range(32)))
-        miss = ms.access_texture(0, a, _sizes(32))
-        hit = ms.access_texture(0, a, _sizes(32))
+        miss = ms.access_texture(0, texture_lines(a, _sizes(32)))
+        hit = ms.access_texture(0, texture_lines(a, _sizes(32)))
         assert hit < miss
 
     def test_texture_cache_per_cu(self):
         ms = MemorySystem(GTX280)
         a = _addrs(*(i * 4 for i in range(32)))
-        ms.access_texture(0, a, _sizes(32))
-        other = ms.access_texture(1, a, _sizes(32))  # cold on CU1
-        assert other > ms.access_texture(0, a, _sizes(32))
+        ms.access_texture(0, texture_lines(a, _sizes(32)))
+        other = ms.access_texture(1, texture_lines(a, _sizes(32)))  # cold on CU1
+        assert other > ms.access_texture(0, texture_lines(a, _sizes(32)))
 
 
 class TestSharedPath:
     def test_conflict_free_base_cost(self):
         ms = MemorySystem(GTX480)
         a = np.arange(32, dtype=np.int64) * 4
-        assert ms.access_shared(0, a) == GTX480.timing.shared_latency
+        assert _shared(ms, a) == GTX480.timing.shared_latency
 
     def test_conflicts_add_replays(self):
         ms = MemorySystem(GTX480)
         conflict = np.arange(32, dtype=np.int64) * 4 * 32  # same bank
         free = np.arange(32, dtype=np.int64) * 4
-        assert ms.access_shared(0, conflict) > ms.access_shared(0, free)
+        assert _shared(ms, conflict) > _shared(ms, free)
 
     def test_cpu_local_memory_flat_cost(self):
         ms = MemorySystem(INTEL920)
         conflict = np.arange(4, dtype=np.int64) * 4 * 32
         free = np.arange(4, dtype=np.int64) * 4
         # no banked SRAM on a CPU: no conflict concept
-        assert ms.access_shared(0, conflict) == ms.access_shared(0, free)
+        assert _shared(ms, conflict) == _shared(ms, free)
 
 
 class TestLocalSpillPath:
@@ -132,45 +144,3 @@ class TestLocalSpillPath:
         c = ms.access_local(0, 4, 4)
         assert ms.dram_bytes[0] == before  # cached
         assert c == GTX480.timing.l1_hit
-
-
-class TestPatternMemoCounters:
-    def test_launch_exports_pattern_memo_deltas(self):
-        from repro.compiler import compile_cuda
-        from repro.kir import CUDA, KernelBuilder, Scalar
-        from repro.sim import SimDevice
-        from repro.telemetry import metrics
-
-        k = KernelBuilder("stage", CUDA)
-        a = k.buffer("a", Scalar.F32)
-        o = k.buffer("o", Scalar.F32)
-        s = k.shared("s", Scalar.F32, 64)
-        t = k.let("t", k.tid.x, Scalar.S32)
-        g = k.let("g", k.ctaid.x * 64 + k.tid.x, Scalar.S32)
-        k.store(s, t, a[g])
-        k.barrier()
-        k.store(o, g, s[63 - t] + k.texload(a, g))
-        ptx = compile_cuda(k.finish())
-        dev = SimDevice(GTX480, memoize=False)
-        x = np.arange(256, dtype=np.float32)
-        pa, po = dev.alloc(x.nbytes), dev.alloc(x.nbytes)
-        dev.upload(pa, x)
-
-        def launch() -> dict:
-            with metrics.use_registry() as reg:
-                dev.launch(ptx, 4, 64, {"a": pa, "o": po})
-            return {
-                name: reg.counter(f"sim.memsys.pattern.{name}").value
-                for name in dev.memsys.pattern_counts()
-            }
-
-        first = launch()
-        # a fresh device: the launch's deltas are the memsys totals
-        assert first == dev.memsys.pattern_counts()
-        assert first["tex.misses"] > 0 and first["shared.misses"] > 0
-        # the same access patterns again: every lookup hits
-        again = launch()
-        for table in ("tex", "shared"):
-            lookups = first[f"{table}.hits"] + first[f"{table}.misses"]
-            assert again[f"{table}.hits"] == lookups
-            assert again[f"{table}.misses"] == 0
