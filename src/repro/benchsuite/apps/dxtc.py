@@ -125,41 +125,37 @@ def _kernel(dialect):
 
 
 def dxtc_reference(r, g, b, w, h):
+    """Packed indices u32[n] and endpoints u32[2n], all blocks at once.
+
+    ``argmin``/``argmax`` return the first extreme, which is what the
+    kernel's strict ``<``/``>`` scans in texel and palette order keep.
+    """
     bw, bh = w // 4, h // 4
-    n = bw * bh
-    out_idx = np.zeros(n, dtype=np.uint32)
-    out_ep = np.zeros(2 * n, dtype=np.uint32)
-    lw = np.array(_LW, dtype=np.float32)
-    for blk in range(n):
-        bx, by = blk % bw, blk // bw
-        pix = np.zeros((PIX, 3), dtype=np.float32)
-        for p in range(PIX):
-            px, py = bx * 4 + p % 4, by * 4 + p // 4
-            pix[p] = (r[py, px], g[py, px], b[py, px])
-        lum = pix @ lw
-        # strict-< / strict-> scans, matching the kernel's update order
-        imin = imax = 0
-        lmin, lmax = np.float32(1e30), np.float32(-1e30)
-        for p in range(PIX):
-            if lum[p] < lmin:
-                lmin, imin = lum[p], p
-            if lum[p] > lmax:
-                lmax, imax = lum[p], p
-        c0, c1 = pix[imax], pix[imin]
-        third = np.float32(1.0 / 3.0)
-        pal = np.stack([c0, c1, (c0 * 2 + c1) * third, (c0 + c1 * 2) * third])
-        indices = np.uint32(0)
-        for p in range(PIX):
-            d = ((pix[p] - pal) ** 2).sum(axis=1)
-            best, bidx = np.float32(1e30), 0
-            for ci in range(4):
-                if d[ci] < best:
-                    best, bidx = d[ci], ci
-            indices |= np.uint32(bidx) << np.uint32(2 * p)
-        out_idx[blk] = indices
-        q = lambda c: np.uint32(int(c))
-        out_ep[2 * blk] = (q(c0[0]) << 16) | (q(c0[1]) << 8) | q(c0[2])
-        out_ep[2 * blk + 1] = (q(c1[0]) << 16) | (q(c1[1]) << 8) | q(c1[2])
+    # (h, w, 3) -> (block row, texel row, block col, texel col, 3)
+    # -> (block, texel = 4 * texel row + texel col, 3)
+    pix = (
+        np.stack([r, g, b], axis=-1)
+        .reshape(bh, 4, bw, 4, 3)
+        .transpose(0, 2, 1, 3, 4)
+        .reshape(bw * bh, PIX, 3)
+    )
+    lum = pix @ np.array(_LW, dtype=np.float32)
+    blocks = np.arange(bw * bh)
+    c0 = pix[blocks, lum.argmax(axis=1)]
+    c1 = pix[blocks, lum.argmin(axis=1)]
+    third = np.float32(1.0 / 3.0)
+    pal = np.stack([c0, c1, (c0 * 2 + c1) * third, (c0 + c1 * 2) * third], axis=1)
+    sq = (pix[:, :, None, :] - pal[:, None, :, :]) ** 2
+    dist = sq[..., 0] + sq[..., 1] + sq[..., 2]  # (block, texel, palette)
+    bidx = dist.argmin(axis=2).astype(np.uint32)
+    shifts = np.arange(0, 2 * PIX, 2, dtype=np.uint32)
+    out_idx = np.bitwise_or.reduce(bidx << shifts, axis=1)
+
+    def pack(c):  # 8-bit channels as 0x00RRGGBB, truncating like f2u
+        q = c.astype(np.uint32)
+        return (q[:, 0] << 16) | (q[:, 1] << 8) | q[:, 2]
+
+    out_ep = np.stack([pack(c0), pack(c1)], axis=1).reshape(-1)
     return out_idx, out_ep
 
 

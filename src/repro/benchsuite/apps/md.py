@@ -64,22 +64,20 @@ def _kernel(dialect, use_texture: bool):
 
 
 def md_reference(px, py, pz, neigh, maxn):
+    """Forces as f32[3, n]; one (n, maxn) array op per step, all atoms at once."""
     n = px.size
     nl = neigh.reshape(n, maxn)
-    out = np.zeros((3, n), dtype=np.float32)
-    for i in range(n):
-        dx = px[nl[i]] - px[i]
-        dy = py[nl[i]] - py[i]
-        dz = pz[nl[i]] - pz[i]
-        r2 = dx * dx + dy * dy + dz * dz
-        m = r2 < LJ_CUTOFF_SQ
-        inv = np.where(m, 1.0 / np.where(m, r2, 1.0), 0.0).astype(np.float32)
-        r6 = inv * inv * inv
-        f = r6 * (r6 - np.float32(0.5)) * inv
-        out[0, i] = np.sum(dx * f * m, dtype=np.float32)
-        out[1, i] = np.sum(dy * f * m, dtype=np.float32)
-        out[2, i] = np.sum(dz * f * m, dtype=np.float32)
-    return out
+    dx = px[nl] - px[:, None]
+    dy = py[nl] - py[:, None]
+    dz = pz[nl] - pz[:, None]
+    r2 = dx * dx + dy * dy + dz * dz
+    m = r2 < LJ_CUTOFF_SQ
+    inv = np.where(m, 1.0 / np.where(m, r2, 1.0), 0.0).astype(np.float32)
+    r6 = inv * inv * inv
+    f = r6 * (r6 - np.float32(0.5)) * inv
+    return np.stack(
+        [np.sum(d * f * m, axis=1, dtype=np.float32) for d in (dx, dy, dz)]
+    )
 
 
 class MD(Benchmark):

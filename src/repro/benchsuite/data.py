@@ -2,6 +2,15 @@
 
 Every generator takes an explicit seed so benchmark runs are exactly
 reproducible (the virtual-clock simulator is deterministic end to end).
+
+The random streams are part of every result, so each generator's
+``Generator`` calls are a fixed contract: one draw call per row, node or
+atom where it loops, with fixed arguments, in row order.  Only the
+bookkeeping around the draws (candidate sets, sorting, CSR assembly) is
+vectorized; ``tests/benchsuite/test_data_golden.py`` pins each stream
+by digest.  Outputs are not cached across units: a sweep CLI
+regenerates them in every unit it runs, and a cache would make a
+long-lived process measure less work than a fresh one does.
 """
 from __future__ import annotations
 
@@ -91,21 +100,25 @@ def banded_csr(
     Returns ``(rowptr s32[n+1], cols s32[m], vals f32[m])``.
     """
     g = rng(seed)
+    rows = np.arange(nrows)
+    lo = np.maximum(rows - band, 0)
+    span = np.minimum(rows + band, nrows - 1) - lo + 1
+    k = np.minimum(nnz_per_row, span)
+    picks, draws = [], []
+    for s, kr in zip(span.tolist(), k.tolist()):
+        # choosing offsets from range(s) draws exactly what choosing
+        # from np.arange(lo, lo + s) does
+        cs = g.choice(s, size=kr, replace=False)
+        cs.sort()
+        picks.append(cs)
+        draws.append(g.normal(0, 1, kr))
     rowptr = np.zeros(nrows + 1, dtype=np.int32)
-    cols: list[int] = []
-    vals: list[float] = []
-    for r in range(nrows):
-        lo = max(0, r - band)
-        hi = min(nrows - 1, r + band)
-        k = min(nnz_per_row, hi - lo + 1)
-        cs = np.sort(g.choice(np.arange(lo, hi + 1), size=k, replace=False))
-        cols.extend(int(c) for c in cs)
-        vals.extend(float(v) for v in g.normal(0, 1, k))
-        rowptr[r + 1] = len(cols)
+    np.cumsum(k, out=rowptr[1:])
+    cols = np.concatenate(picks) + np.repeat(lo, k)
     return (
         rowptr,
-        np.asarray(cols, dtype=np.int32),
-        np.asarray(vals, dtype=np.float32),
+        cols.astype(np.int32),
+        np.concatenate(draws).astype(np.float32),
     )
 
 
@@ -132,7 +145,8 @@ def neighbor_lists(n: int, k: int, seed: int = 0) -> np.ndarray:
     for i in range(n):
         lo = max(0, i - k)
         hi = min(n, i + k + 1)
-        cand = np.setdiff1d(np.arange(lo, hi), [i])
+        cand = np.arange(lo, hi - 1)  # lo..hi-1 without i, ascending
+        cand[i - lo :] += 1
         if cand.size < k:
             cand = np.concatenate([cand, g.integers(0, n, k - cand.size)])
         idx[i] = g.choice(cand, size=k, replace=False)

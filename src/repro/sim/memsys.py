@@ -16,7 +16,7 @@ import numpy as np
 from ..arch.caches import LRUCache, null_cache
 from ..arch.specs import DeviceSpec
 
-__all__ = ["MemorySystem", "AccessCost"]
+__all__ = ["MemorySystem"]
 
 
 class MemorySystem:
