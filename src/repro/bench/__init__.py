@@ -18,13 +18,13 @@ for.  Wall-clock numbers (cold/warm sweep seconds) are recorded with
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
 from .._version import __version__
+from ..durable import atomic_write
 from ..telemetry import metrics as tmetrics
 from ..telemetry import spans as tspans
 from ..telemetry.manifest import git_sha
@@ -174,11 +174,7 @@ def make_payload(
 def write_bench(payload: dict, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-    os.replace(tmp, path)
-    return path
+    return atomic_write(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
 def load_bench(path) -> dict:

@@ -14,8 +14,7 @@ only artifacts that are provably dead:
   everything from cache.  Journals of running/interrupted runs are
   never touched — their in-flight set is exactly what resume needs.
 * **tmp corpses** — pid-suffixed ``*.tmp.*`` files orphaned by killed
-  writers, in the cache shards, the metrics dir, the journal dir, and
-  the daemon's ``serve/`` state dir.
+  writers, in the cache shards, the metrics dir and the journal dir.
 * **stale metrics snapshots** — per-run ``metrics/<run-id>.json``
   liveness snapshots exist so :mod:`repro.obs` can watch a run from
   outside the process; once the run's journal is terminal (and hence
@@ -37,6 +36,7 @@ import sys
 import time
 from pathlib import Path
 
+from ..durable import atomic_write
 from . import journal as journal_mod
 from .cache import default_cache_dir
 
@@ -65,9 +65,9 @@ def _compact_journal(path: Path, dry_run: bool) -> int:
     """Rewrite one terminal journal without start/hb records.
 
     Returns bytes reclaimed (0 when the journal is not terminal, is
-    already compact, or cannot be read).  The rewrite is atomic
-    (tmp + ``os.replace``), so a concurrent reader never sees a torn
-    journal.
+    already compact, or cannot be read or rewritten).  The rewrite is
+    an :func:`~repro.durable.atomic_write`, so a concurrent reader never
+    sees a torn journal and a power loss never leaves a partial one.
     """
     try:
         raw = path.read_text()
@@ -97,15 +97,9 @@ def _compact_journal(path: Path, dry_run: bool) -> int:
     reclaimed = max(0, len(raw.encode()) - len(new_body.encode()))
     if dry_run:
         return reclaimed
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
     try:
-        tmp.write_text(new_body)
-        os.replace(tmp, path)
+        atomic_write(path, new_body)
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
         return 0
     return reclaimed
 
@@ -187,7 +181,6 @@ def gc_run(
     own = f".tmp.{os.getpid()}"
     for pattern in (
         "[0-9a-f][0-9a-f]/*.tmp.*", "metrics/*.tmp.*", "journal/*.tmp.*",
-        "serve/*.tmp.*", "serve/err/*.tmp.*",
     ):
         for tmp in sorted(root.glob(pattern)):
             if tmp.name.endswith(own):
@@ -202,8 +195,7 @@ def gc_run(
     # means its journal replays to a terminal state (the same rule that
     # makes the journal itself compactable), or the journal is gone
     # entirely and the snapshot has sat untouched past --max-age (a
-    # journalless writer — e.g. the serve daemon's liveness snapshot —
-    # refreshes its mtime every beat while alive).
+    # live run refreshes its snapshot's mtime every beat).
     mdir = root / "metrics"
     if mdir.is_dir():
         cutoff = now - max_age_days * 86400.0

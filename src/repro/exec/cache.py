@@ -1,8 +1,9 @@
 """Content-addressed on-disk result cache for sweep work units.
 
 Layout: ``<root>/<digest[:2]>/<digest>.json``, one JSON payload per
-unit.  Writes are atomic (tmp file + ``os.replace``) so parallel
-workers and concurrent sweeps can share one cache directory safely.
+unit.  Writes are atomic (:func:`repro.durable.atomic_write`) so
+parallel workers and concurrent sweeps can share one cache directory
+safely.
 
 Serialization is also the normalization layer: the engine round-trips
 *every* result — fresh or cached — through :func:`result_to_json` /
@@ -25,6 +26,7 @@ from typing import Optional
 
 from ..arch.caches import CacheStats
 from ..benchsuite.base import BenchResult
+from ..durable import atomic_write
 from ..errors import CacheCorruptionError
 from ..prof.profile import LaunchProfile
 from ..telemetry import log, metrics
@@ -247,32 +249,16 @@ class ResultCache:
     def put(self, digest: str, payload: dict) -> None:
         """Atomically (and durably) install one entry.
 
-        The payload is written to a pid-suffixed tmp file, fsynced, and
-        ``os.replace``d into place: a reader never sees a torn entry,
-        and a process killed mid-write leaves only a tmp file (removed
-        here on error and swept by :meth:`purge_tmp`).  The fsync
-        before the rename is what lets the run journal's ``done``
-        record trust the entry across a crash.
+        Written by :func:`~repro.durable.atomic_write`: a reader never
+        sees a torn entry, and a process killed mid-write leaves only a
+        tmp file (swept by :meth:`purge_tmp`).  The fsync before the
+        rename is what lets the run journal's ``done`` record trust the
+        entry across a crash.
         """
         path = self._path(digest)
         with tspans.span("cache.put", "cache", digest=digest[:8]):
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            try:
-                with open(tmp, "w") as f:
-                    json.dump(payload, f)
-                    f.flush()
-                    try:
-                        os.fsync(f.fileno())
-                    except OSError:
-                        pass  # exotic fs; the rename is still atomic
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, json.dumps(payload))
             metrics.counter("cache.puts").inc()
 
     def purge_tmp(self) -> int:

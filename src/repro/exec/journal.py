@@ -66,8 +66,8 @@ RUN_STATES = ("complete", "interrupted", "failed")
 
 #: default seconds between heartbeat records ($REPRO_HEARTBEAT_S
 #: overrides; invalid or non-positive values fall back here with a
-#: warning — liveness monitoring and lease TTLs both derive from this
-#: interval, so "disabled" is not a state the env var can express)
+#: warning — liveness monitoring derives from this interval, so
+#: "disabled" is not a state the env var can express)
 DEFAULT_HEARTBEAT_S = 5.0
 
 #: raw $REPRO_HEARTBEAT_S values already warned about (once per value,
@@ -81,8 +81,8 @@ def heartbeat_interval() -> float:
     Hardened: a value that does not parse as a float, or is not
     strictly positive (NaN included), warns once and falls back to
     :data:`DEFAULT_HEARTBEAT_S` instead of silently disabling the
-    liveness signal every staleness rule in :mod:`repro.obs` and
-    :mod:`repro.serve` is built on.
+    liveness signal every staleness rule in :mod:`repro.obs` is
+    built on.
     """
     raw = os.environ.get("REPRO_HEARTBEAT_S", "")
     if not raw:
@@ -151,10 +151,9 @@ class JournalReplay:
 class RunJournal:
     """Append-only, fsynced JSONL journal for one sweep run."""
 
-    def __init__(self, path, run_id: str, fsync: bool = True):
+    def __init__(self, path, run_id: str):
         self.path = Path(path)
         self.run_id = run_id
-        self.fsync = fsync
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._f = open(self.path, "a")
@@ -172,10 +171,9 @@ class RunJournal:
         command: str = "",
         argv=None,
         resumed_from: Optional[str] = None,
-        fsync: bool = True,
     ) -> "RunJournal":
         """Open a fresh journal under ``root`` and write its run header."""
-        j = cls(journal_dir(root) / f"{run_id}.jsonl", run_id, fsync=fsync)
+        j = cls(journal_dir(root) / f"{run_id}.jsonl", run_id)
         j.append(
             {
                 "t": "run",
@@ -200,11 +198,10 @@ class RunJournal:
         with self._lock:
             self._f.write(line + "\n")
             self._f.flush()
-            if self.fsync:
-                try:
-                    os.fsync(self._f.fileno())
-                except OSError:
-                    pass
+            try:
+                os.fsync(self._f.fileno())
+            except OSError:
+                pass
         metrics.counter("journal.appends").inc()
         metrics.histogram("journal.append_s", FSYNC_BUCKETS_S).observe(
             time.perf_counter() - t0

@@ -36,15 +36,6 @@ Fault kinds:
     carry on executing the unit — exercises the graceful-shutdown
     drain, the ``interrupted`` journal state, and ``--resume`` replay,
     deterministically, from CI
-``postkill``
-    the daemon-level chaos rule: die without reporting *after* the
-    unit's result is durably stored (``os._exit`` in a worker process)
-    on the first ``attempts`` attempts.  Fired by the sweep daemon's
-    workers via :meth:`FaultInjector.fire_post` between the cache put
-    and the completion report, it kills a worker *mid-lease* with the
-    work already durable — exercising lease reclamation, fencing of
-    the dead worker's grant, and the idempotent cache-hit re-dispatch
-    path (zero duplicated work)
 
 Plans come from config or the ``REPRO_FAULTS`` environment variable
 (inherited by pool workers), in either JSON form::
@@ -80,7 +71,7 @@ __all__ = [
     "in_pool_worker",
 ]
 
-KINDS = ("raise", "transient", "hang", "kill", "corrupt", "interrupt", "postkill")
+KINDS = ("raise", "transient", "hang", "kill", "corrupt", "interrupt")
 
 #: set in each pool worker by the executor's initializer, so ``kill``
 #: faults only ever take down a disposable process
@@ -155,7 +146,7 @@ class FaultInjector:
         both in pool workers and on the sequential path.
         """
         for rule in self.rules:
-            if rule.kind in ("corrupt", "postkill") or not self._rolls(rule, label):
+            if rule.kind == "corrupt" or not self._rolls(rule, label):
                 continue
             self._note(rule, label, attempt)
             if rule.kind == "raise":
@@ -187,27 +178,6 @@ class FaultInjector:
                     except OSError:
                         pass
 
-    def fire_post(self, label: str, attempt: int = 1) -> None:
-        """Inject any post-execution fault planned for this unit/attempt.
-
-        Called by the sweep daemon's workers *after* the result is
-        durably in the cache but *before* the completion report: a
-        ``postkill`` rule dies right here (``os._exit`` in a worker,
-        :class:`~repro.errors.WorkerCrash` in-process so tests survive),
-        leaving a reclaimable lease over an already-durable result.
-        """
-        for rule in self.rules:
-            if rule.kind != "postkill" or not self._rolls(rule, label):
-                continue
-            if attempt > rule.attempts:
-                continue
-            self._note(rule, label, attempt)
-            if in_pool_worker():
-                os._exit(17)  # die mid-lease: the work is durable, the report is lost
-            e = WorkerCrash(f"injected post-completion kill for {label}")
-            e.injected = True
-            raise e
-
     def _note(self, rule: FaultRule, label: str, attempt: int) -> None:
         """Record the firing on whatever telemetry is active here.
 
@@ -217,7 +187,7 @@ class FaultInjector:
         dies *after* exporting (and the planned-fault accounting in the
         engine covers the rest).
         """
-        if rule.kind in ("transient", "interrupt", "postkill") and attempt > rule.attempts:
+        if rule.kind in ("transient", "interrupt") and attempt > rule.attempts:
             return
         metrics.counter(f"faults.injected.{rule.kind}").inc()
         tspans.event(

@@ -34,7 +34,7 @@ from . import critpath as cp
 from . import openmetrics as om
 from . import regress as rg
 from .registry import find_run, runs
-from .render import render_ls, render_serve, render_status
+from .render import render_ls, render_status
 
 __all__ = ["main"]
 
@@ -140,42 +140,6 @@ def _cmd_metrics(args) -> int:
         if problems:
             return 1
         print("obs: exporter output lints clean", file=sys.stderr)
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    """Render the sweep daemon's /status — live over HTTP, or a WAL
-    post-mortem (with the 3x-heartbeat staleness verdict) when dead."""
-    from ..serve.client import discover
-    from ..serve.wal import replay as serve_replay
-    from ..serve.wal import wal_path
-    from .registry import STALE_BEATS
-
-    cache_dir = _cache_dir(args)
-    client = discover(cache_dir)
-    if client is not None:
-        doc = client.status()
-        live = True
-    else:
-        rep = serve_replay(wal_path(cache_dir))
-        doc = rep.summary()
-        doc["wal"] = str(wal_path(cache_dir))
-        doc["records"] = rep.records
-        doc["torn_lines"] = rep.torn_lines
-        hb = rep.last_heartbeat
-        if hb and isinstance(hb.get("unix"), (int, float)):
-            interval = float(hb.get("interval") or 5.0)
-            age = time.time() - hb["unix"]
-            doc["last_heartbeat_age_s"] = round(age, 3)
-            doc["staleness"] = (
-                "stale" if age > STALE_BEATS * interval else "recent"
-            )
-        live = False
-    if args.json:
-        json.dump({"live": live, **doc}, sys.stdout, indent=1, sort_keys=True)
-        print()
-    else:
-        print(render_serve(doc, live))
     return 0
 
 
@@ -294,13 +258,6 @@ def main(argv=None) -> int:
         help="lint the rendered textfile; exit 1 on problems",
     )
     p.set_defaults(fn=_cmd_metrics)
-
-    p = sub.add_parser(
-        "serve", help="status of the sweep daemon (live API or WAL post-mortem)"
-    )
-    _add_cache_dir(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
         "critpath", help="per-category wall attribution of a merged trace"

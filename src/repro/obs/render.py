@@ -15,7 +15,6 @@ __all__ = [
     "fmt_unix",
     "render_status",
     "render_ls",
-    "render_serve",
 ]
 
 
@@ -118,57 +117,4 @@ def render_ls(statuses) -> str:
             f"{s.done:>6} {s.failed:>5} {fmt_duration(s.eta_s):>8} "
             f"{fmt_unix(s.updated_unix):>14}"
         )
-    return "\n".join(lines)
-
-
-def render_serve(doc: dict, live: bool) -> str:
-    """The ``repro.obs serve`` block: a daemon, live or post-mortem.
-
-    ``live`` selects between the daemon's own ``/status`` document and
-    the WAL-replay summary assembled for a dead daemon (which carries a
-    ``staleness`` verdict computed from the last heartbeat under the
-    same 3x-interval rule run liveness uses).
-    """
-    if live:
-        u = doc.get("units", {})
-        t = doc.get("tickets", {})
-        lines = [
-            f"serve pid {doc.get('pid')}  [{doc.get('state')}/live]  "
-            f"epoch {doc.get('epoch')}  up {fmt_duration(doc.get('uptime_s'))}",
-            f"  units:      {u.get('queued', 0)} queued, "
-            f"{u.get('leased', 0)} leased, {u.get('done', 0)} done, "
-            f"{u.get('failed', 0)} failed",
-            f"  tickets:    {t.get('complete', 0)}/{t.get('total', 0)} complete",
-        ]
-        for name, row in sorted(doc.get("tenants", {}).items()):
-            lines.append(
-                f"  tenant {name:<12} {row.get('outstanding', 0)} outstanding, "
-                f"{row.get('inflight', 0)} in-flight, "
-                f"{row.get('rejected', 0)} rejected"
-            )
-        for lease in doc.get("leases", []):
-            lines.append(
-                f"  lease #{lease.get('token')}  {lease.get('label')}  "
-                f"pid {lease.get('pid')}  age {fmt_duration(lease.get('age_s'))}"
-            )
-        for dev, b in sorted(doc.get("breakers", {}).items()):
-            if b.get("state") != "closed":
-                lines.append(
-                    f"  breaker {dev}: {b.get('state')} "
-                    f"({b.get('consecutive_failures', 0)} consecutive failures)"
-                )
-        return "\n".join(lines)
-    by_state = doc.get("by_state", {})
-    lines = [
-        f"serve [dead/{doc.get('staleness', 'no-heartbeat')}]  "
-        f"epoch {doc.get('epoch')}  last state {doc.get('state')!r}",
-        f"  units:      "
-        + (", ".join(f"{n} {s}" for s, n in sorted(by_state.items()))
-           or "none"),
-        f"  tickets:    {doc.get('tickets', 0)}",
-        f"  leases:     {doc.get('open_leases', 0)} open at death "
-        f"(reclaimed on next boot)",
-        f"  wal:        {doc.get('wal', '-')} "
-        f"({doc.get('records', 0)} record(s), {doc.get('torn_lines', 0)} torn)",
-    ]
     return "\n".join(lines)

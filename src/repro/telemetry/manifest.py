@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .._version import __version__
+from ..durable import atomic_write
 
 __all__ = ["RunManifest", "git_sha", "default_manifest_path"]
 
@@ -141,16 +142,9 @@ class RunManifest:
     def write(self, path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as f:
-            json.dump(self.to_json(), f, indent=1, sort_keys=True)
-            f.flush()
-            try:
-                os.fsync(f.fileno())
-            except OSError:
-                pass
-        os.replace(tmp, path)
-        return path
+        return atomic_write(
+            path, json.dumps(self.to_json(), indent=1, sort_keys=True)
+        )
 
     @classmethod
     def load(cls, path) -> "RunManifest":

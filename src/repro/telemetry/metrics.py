@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
+
+from ..durable import atomic_write
 
 __all__ = [
     "Counter",
@@ -303,7 +304,7 @@ def write_snapshot_file(
 
     The engine's heartbeat thread calls this every beat, so a scraper
     (``repro.obs metrics``) always reads a complete, at-most-one-beat-old
-    document — never a torn write (tmp + ``os.replace``).
+    document — never a torn write (:func:`repro.durable.atomic_write`).
     """
     path = snapshot_path(cache_dir, run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -313,18 +314,7 @@ def write_snapshot_file(
         "unix": time.time(),
         "metrics": snapshot if snapshot is not None else _REGISTRY.snapshot(),
     }
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(path, json.dumps(doc, indent=1, sort_keys=True))
 
 
 def load_snapshot_file(path) -> dict:

@@ -13,6 +13,7 @@ from repro import exec as rexec
 from repro import faults
 from repro.arch.specs import GTX280, GTX480
 from repro.errors import FailureKind, TransientError, UnitFailed, WorkerCrash
+from repro.faults.injector import KINDS
 
 from .test_engine import canon
 
@@ -47,8 +48,19 @@ class TestInjectorPlans:
         assert faults.from_spec("") is None
 
     def test_unknown_kind_rejected(self):
+        # "post" "kill" is the removed post-completion kill kind, spelled
+        # in two pieces so a grep for it finds only live uses (none)
+        for spec in ("explode:*", "post" "kill:*"):
+            with pytest.raises(ValueError, match="unknown fault kind") as err:
+                faults.from_spec(spec)
+            for kind in KINDS:
+                assert repr(kind) in str(err.value)
+
+    def test_unknown_kind_in_env_rejected_by_executor(self, monkeypatch):
+        # a rule that could never fire must not be silently accepted
+        monkeypatch.setenv("REPRO_FAULTS", "post" "kill:*")
         with pytest.raises(ValueError, match="unknown fault kind"):
-            faults.from_spec("explode:*")
+            rexec.SweepExecutor()
 
     def test_env_plumbing(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "raise:nothing-matches-this*")

@@ -146,9 +146,9 @@ class TestMetricsSnapshots:
         assert snap.exists()
 
     def test_journalless_snapshot_ages_out(self, tmp_path):
-        # e.g. the serve daemon's liveness snapshot after the daemon is
-        # long gone (its journal-free run-id never had a journal)
-        snap = self.make_snapshot(tmp_path, "serve")
+        # the run's journal was deleted (or never written) and the
+        # snapshot has sat untouched past --max-age: nobody is watching
+        snap = self.make_snapshot(tmp_path, "orphan")
         past = time.time() - (DEFAULT_MAX_AGE_DAYS + 1) * 86400
         os.utime(snap, (past, past))
         report = gc_run(tmp_path)
@@ -156,8 +156,9 @@ class TestMetricsSnapshots:
         assert not snap.exists()
 
     def test_journalless_fresh_snapshot_spared(self, tmp_path):
-        # a live daemon refreshes its snapshot's mtime every heartbeat
-        snap = self.make_snapshot(tmp_path, "serve")
+        # no journal to judge by, but a recent mtime: the writer may be
+        # alive and refreshing its snapshot every heartbeat
+        snap = self.make_snapshot(tmp_path, "orphan")
         report = gc_run(tmp_path)
         assert report["metrics_removed"] == 0
         assert snap.exists()
@@ -168,15 +169,6 @@ class TestMetricsSnapshots:
         report = gc_run(tmp_path, dry_run=True)
         assert report["metrics_removed"] == 1
         assert snap.exists()
-
-    def test_serve_tmp_corpses_swept(self, tmp_path):
-        sdir = tmp_path / "serve" / "err"
-        sdir.mkdir(parents=True)
-        (tmp_path / "serve" / "endpoint.tmp.99999").write_text("x")
-        (sdir / "7.tmp.99999").write_text("y")
-        report = gc_run(tmp_path)
-        assert report["tmp_removed"] == 2
-        assert not (sdir / "7.tmp.99999").exists()
 
 
 class TestDryRunAndCli:

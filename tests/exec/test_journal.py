@@ -203,7 +203,7 @@ class TestHeartbeat:
         assert jmod.heartbeat_interval() == jmod.DEFAULT_HEARTBEAT_S
 
     def test_heartbeat_interval_rejects_non_positive(self, monkeypatch):
-        # liveness (and serve lease TTLs) derive from this interval, so
+        # liveness derives from this interval, so
         # zero/negative/NaN must fall back to the default, not disable
         for bad in ("0", "-3", "0.0", "nan", "-inf"):
             monkeypatch.setenv("REPRO_HEARTBEAT_S", bad)
